@@ -2,7 +2,8 @@
 //! refinement.
 //!
 //! [`AnchorPipeline`] runs both stages off a single sketch pass per
-//! segment: the probe kernel's hit counts feed a candidate ranking whose
+//! segment: stage 2 refines from the position list stage 1 winnowed, and
+//! the probe kernel's hit counts feed a candidate ranking whose
 //! top entry reproduces the legacy best-hit [`Mapping`] exactly (the one
 //! ranking rule, [`jem_index::rank_order`]: count descending, smaller id
 //! on ties), and whose top-x entries form the stage-2 shortlist. The legacy TSV path is thus
@@ -50,8 +51,18 @@ impl<'a> AnchorPipeline<'a> {
     /// # Panics
     /// Panics when the refiner's subject set does not match the index's
     /// name table — refinement coordinates would silently refer to the
-    /// wrong contigs otherwise.
+    /// wrong contigs otherwise — or when its scheme or k differ from the
+    /// index's: stage 2 refines from stage 1's position list, which is
+    /// only its own under the same scheme and k.
     pub fn new(mapper: &'a JemMapper, refiner: &'a Refiner) -> Self {
+        assert!(
+            refiner.scheme() == mapper.scheme() && refiner.k() == mapper.config().k,
+            "refiner extracts {:?} at k = {} but the index {:?} at k = {}",
+            refiner.scheme(),
+            refiner.k(),
+            mapper.scheme(),
+            mapper.config().k
+        );
         assert_eq!(
             refiner.n_subjects(),
             mapper.n_subjects(),
@@ -95,7 +106,13 @@ impl<'a> AnchorPipeline<'a> {
         };
         let row = self
             .refiner
-            .refine_segment(&seg.seq, &scratch.ranked, &mut scratch.refine, stats)
+            .refine_from_list(
+                &seg.seq,
+                scratch.map.minimizers(),
+                &scratch.ranked,
+                &mut scratch.refine,
+                stats,
+            )
             .map(|p| {
                 PafRow::from_placement(
                     &Mapping {
@@ -285,6 +302,25 @@ mod tests {
         let (contigs, _, config) = world();
         let mapper = JemMapper::build(&contigs, &config);
         let refiner = Refiner::new(mapper.scheme(), config.k, contigs[..1].to_vec());
+        let _ = AnchorPipeline::new(&mapper, &refiner);
+    }
+
+    #[test]
+    #[should_panic(expected = "refiner extracts")]
+    fn mismatched_k_is_rejected() {
+        let (contigs, _, config) = world();
+        let mapper = JemMapper::build(&contigs, &config);
+        let refiner = Refiner::new(mapper.scheme(), config.k + 1, contigs.clone());
+        let _ = AnchorPipeline::new(&mapper, &refiner);
+    }
+
+    #[test]
+    #[should_panic(expected = "refiner extracts")]
+    fn mismatched_scheme_is_rejected() {
+        let (contigs, _, config) = world();
+        let mapper = JemMapper::build(&contigs, &config);
+        let scheme = jem_sketch::SketchScheme::Minimizer { w: config.w + 1 };
+        let refiner = Refiner::new(scheme, config.k, contigs.clone());
         let _ = AnchorPipeline::new(&mapper, &refiner);
     }
 }

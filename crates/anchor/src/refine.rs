@@ -221,8 +221,19 @@ impl Refiner {
             .clone()
     }
 
+    /// The sketch-position scheme stage 2 extracts with.
+    pub fn scheme(&self) -> SketchScheme {
+        self.scheme
+    }
+
+    /// The k-mer size stage 2 extracts with.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// Refine one end segment against its stage-1 shortlist
-    /// (`candidates` = `(subject, trial hits)`, best first).
+    /// (`candidates` = `(subject, trial hits)`, best first): extract the
+    /// segment's scheme positions, then [`Refiner::refine_from_list`].
     ///
     /// Returns the best placement, or `None` when the segment yields no
     /// scheme positions, no candidate produces anchors, or the best chain
@@ -237,13 +248,33 @@ impl Refiner {
         scratch: &mut RefineScratch,
         stats: &mut RefineStats,
     ) -> Option<Placement> {
+        let mut mins = std::mem::take(&mut scratch.query_mins);
+        self.scheme
+            .extract_into(seg, self.k, &mut scratch.winnow, &mut mins);
+        let placement = self.refine_from_list(seg, &mins, candidates, scratch, stats);
+        scratch.query_mins = mins;
+        placement
+    }
+
+    /// [`Refiner::refine_segment`] from the segment's position list as
+    /// already extracted under this refiner's scheme and k — stage 1's
+    /// list, in the fused pipeline, so each segment is winnowed once.
+    pub fn refine_from_list(
+        &self,
+        seg: &[u8],
+        query_mins: &[Minimizer],
+        candidates: &[(SubjectId, u32)],
+        scratch: &mut RefineScratch,
+        stats: &mut RefineStats,
+    ) -> Option<Placement> {
         if candidates.is_empty() || seg.len() < self.k {
             return None;
         }
         stats.segments += 1;
+        if query_mins.is_empty() {
+            return None;
+        }
         let RefineScratch {
-            winnow,
-            query_mins,
             query_fwd,
             fwd,
             rev,
@@ -251,11 +282,8 @@ impl Refiner {
             survivors,
             filter,
             chain,
+            ..
         } = scratch;
-        self.scheme.extract_into(seg, self.k, winnow, query_mins);
-        if query_mins.is_empty() {
-            return None;
-        }
         query_fwd.clear();
         query_fwd.extend(
             query_mins

@@ -13,7 +13,7 @@
 use jem_core::{make_segments, CodeFilter, Mapping, Probe};
 use jem_index::{FlatTable, HitCounter, LazyHitCounter, SubjectId, TrialRuns};
 use jem_seq::SeqRecord;
-use jem_sketch::{classic_minhash_seq, HashFamily};
+use jem_sketch::{classic_minhash_seq, HashFamily, MaskedSketch};
 
 /// Classical-MinHash baseline configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +82,7 @@ impl ClassicMinHashMapper {
 
     /// Map one end segment: per-trial sketch equality against the table,
     /// through the one probe kernel (a trial's single minimum is the
-    /// query's only code on that trial).
+    /// query's only code on that trial; equal minima fuse into one code).
     pub fn map_segment(
         &self,
         seg: &[u8],
@@ -95,7 +95,8 @@ impl ClassicMinHashMapper {
             .iter()
             .enumerate()
             .filter_map(|(t, value)| value.map(|code| (code, t)));
-        Probe::default().run(&self.table, entries, &CodeFilter::all(), qid, counter);
+        let sketch = MaskedSketch::from_entries(self.config.trials, entries);
+        Probe::default().run(&self.table, &sketch, &CodeFilter::all(), qid, counter);
         counter.best(qid)
     }
 

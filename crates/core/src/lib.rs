@@ -6,12 +6,13 @@
 //! 1. **Index** — every contig is sketched with [`jem_sketch::sketch_by_jem`]
 //!    into sorted runs that are merged into the code-keyed
 //!    [`jem_index::FlatTable`], whose postings carry trial masks.
-//! 2. **Map** — each query end segment is sketched the same way; for every
-//!    trial `t`, contigs colliding with the query on trial `t` form
-//!    `Hits_r[t]`; the most frequent contig across trials is the reported
-//!    best hit (ties to the smaller contig id). One probe kernel
-//!    ([`Probe`]) looks each distinct code up once and ORs trial masks
-//!    into the paper's lazy-update counter.
+//! 2. **Map** — each query end segment is sketched the same way, in
+//!    code-keyed form ([`jem_sketch::MaskedSketch`], one backward pass per
+//!    end segment); for every trial `t`, contigs colliding with the query
+//!    on trial `t` form `Hits_r[t]`; the most frequent contig across
+//!    trials is the reported best hit (ties to the smaller contig id). One
+//!    probe kernel ([`Probe`]) looks each distinct code up once and ORs
+//!    trial masks into the paper's lazy-update counter.
 //!
 //! Three drivers share this logic:
 //!

@@ -7,8 +7,8 @@ use jem_index::{
 };
 use jem_seq::SeqRecord;
 use jem_sketch::{
-    sketch_by_scheme, sketch_by_scheme_into, HashFamily, JemParams, JemSketch, SketchScheme,
-    SketchScratch,
+    sketch_by_scheme, sketch_by_scheme_into, sketch_masked_into, HashFamily, JemParams, JemSketch,
+    MaskedSketch, Minimizer, SketchScheme, SketchScratch,
 };
 use std::ops::Range;
 
@@ -94,91 +94,86 @@ impl CodeFilter {
         ((code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % self.n_slots
     }
 
+    /// Does the filter admit every code?
+    pub fn admits_all(&self) -> bool {
+        self.owned.len() == self.n_slots
+    }
+
     /// Does the filter admit `code`?
     pub fn admits(&self, code: u64) -> bool {
-        self.owned.len() == self.n_slots || self.owned.contains(&self.slot_of(code))
+        self.admits_all() || self.owned.contains(&self.slot_of(code))
     }
 }
 
 /// The probe kernel with its reusable buffers (Algorithm 2, lines 5–7).
 ///
-/// [`Probe::run`] turns a query's sketch entries `(code, trial)` into
-/// distinct codes, each with the query's trial mask (bit `t` set iff the
-/// code is in the query's trial-`t` sketch), probes every code once, and
-/// ORs `query mask & posting mask` into the lazy hit counter. Subject `s`
+/// [`Probe::run`] takes a query's sketch in code-keyed form — each
+/// distinct code once with its trial mask (bit `t` set iff the code is in
+/// the query's trial-`t` sketch) — probes every code once, and ORs
+/// `query mask & posting mask` into the lazy hit counter. Subject `s`
 /// collides with the query on trial `t` iff some shared code has bit `t`
 /// set in both masks, so each subject's mask popcount is exactly the
 /// paper's per-trial hit count `|{t : s ∈ Hits_r[t]}|`.
 #[derive(Clone, Debug, Default)]
 pub struct Probe {
-    entries: Vec<(u64, u32)>,
-    /// Open-addressing index of the query's distinct codes: each slot
-    /// holds a position in `codes` plus one, or zero when empty.
-    index: Vec<u32>,
+    /// The codes a partial filter admits, with their masks.
     codes: Vec<u64>,
     qmasks: Vec<u32>,
     table: ProbeScratch,
 }
 
 impl Probe {
-    /// Probe the entries `(code, trial)` (every trial below `table.trials()`)
+    /// Probe the codes of `sketch` (built with `table.trials()` trials)
     /// that `filter` admits against `table`, recording every collision of
     /// query `qid` in `counter`. Adds the postings read to
-    /// `counter.stats.probed`.
+    /// `counter.stats.probed`. A filter admits a code on every trial or on
+    /// none, so it drops whole codes.
     pub fn run(
         &mut self,
         table: &FlatTable,
-        entries: impl IntoIterator<Item = (u64, usize)>,
+        sketch: &MaskedSketch,
         filter: &CodeFilter,
         qid: u64,
         counter: &mut LazyHitCounter,
     ) {
-        let w = table.mask_words();
-        self.entries.clear();
-        self.entries.extend(
-            entries
-                .into_iter()
-                .filter(|&(code, _)| filter.admits(code))
-                .map(|(code, t)| (code, t as u32)),
+        assert!(
+            sketch.is_empty() || sketch.mask_words() == table.mask_words(),
+            "sketch has {} mask words per code but the table {}",
+            sketch.mask_words(),
+            table.mask_words()
         );
-        // Fuse equal codes through a small hash index, in first-seen order.
-        let slots = (2 * self.entries.len()).next_power_of_two().max(16);
-        self.index.clear();
-        self.index.resize(slots, 0);
-        self.codes.clear();
-        self.qmasks.clear();
-        for &(code, t) in &self.entries {
-            let mut i = (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & (slots - 1);
-            let at = loop {
-                match self.index[i] as usize {
-                    0 => {
-                        self.codes.push(code);
-                        self.qmasks.resize(self.qmasks.len() + w, 0);
-                        self.index[i] = self.codes.len() as u32;
-                        break self.codes.len() - 1;
-                    }
-                    n if self.codes[n - 1] == code => break n - 1,
-                    _ => i = (i + 1) & (slots - 1),
-                }
-            };
-            self.qmasks[at * w + t as usize / 32] |= 1 << (t % 32);
-        }
-        let probed = table.probe(&self.codes, &self.qmasks, &mut self.table, |s, mask| {
+        let Probe {
+            codes,
+            qmasks,
+            table: scratch,
+        } = self;
+        let (codes, qmasks) = if filter.admits_all() {
+            (sketch.codes(), sketch.masks())
+        } else {
+            codes.clear();
+            qmasks.clear();
+            for (code, mask) in sketch.iter().filter(|&(code, _)| filter.admits(code)) {
+                codes.push(code);
+                qmasks.extend_from_slice(mask);
+            }
+            (&codes[..], &qmasks[..])
+        };
+        let probed = table.probe(codes, qmasks, scratch, |s, mask| {
             counter.record(qid, s, mask)
         });
         counter.stats.probed += probed;
     }
 }
 
-/// Reusable per-thread scratch for the query path: the sketch buffer, the
-/// sketching scratch behind it, the probe kernel's buffers, and a counter
-/// for the drivers that rank a segment's hits without one of their own.
-/// One of these lives beside each [`LazyHitCounter`] (one per mapping
-/// thread or serve worker) so segment mapping performs no steady-state
-/// allocation.
+/// Reusable per-thread scratch for the query path: the code-keyed sketch,
+/// the sketching scratch behind it (which keeps the segment's position
+/// list for stage 2), the probe kernel's buffers, and a counter for the
+/// drivers that rank a segment's hits without one of their own. One of
+/// these lives beside each [`LazyHitCounter`] (one per mapping thread or
+/// serve worker) so segment mapping performs no steady-state allocation.
 #[derive(Clone, Debug, Default)]
 pub struct MapScratch {
-    sketch: JemSketch,
+    sketch: MaskedSketch,
     scratch: SketchScratch,
     probe: Probe,
     /// `(counter, trials, next query id)` of the ranking drivers, sized to
@@ -190,6 +185,12 @@ impl MapScratch {
     /// Fresh, empty scratch (buffers grow on first use and are then reused).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The position list of the last segment sketched through this
+    /// scratch: what the index's scheme and k extract from its bytes.
+    pub fn minimizers(&self) -> &[Minimizer] {
+        self.scratch.minimizers()
     }
 }
 
@@ -343,16 +344,17 @@ impl JemMapper {
     }
 
     /// Sketch a query sequence exactly as this index's subjects were
-    /// sketched (same scheme, parameters and hash family) — the reference
-    /// the differential tests intersect per trial.
+    /// sketched (same scheme, parameters and hash family, general kernel) —
+    /// the reference the differential tests intersect per trial.
     pub fn sketch_segment(&self, seq: &[u8]) -> JemSketch {
         self.sketch(seq)
     }
 
-    /// Allocation-free variant of [`JemMapper::sketch_segment`]: the sketch
-    /// lands in `scratch`, where the probe kernel reads it.
+    /// [`JemMapper::sketch_segment`]'s sets in code-keyed form, into
+    /// `scratch`, where the probe kernel reads them and stage 2 the
+    /// segment's position list. End segments take the one-pass selection.
     pub fn sketch_segment_into(&self, seq: &[u8], scratch: &mut MapScratch) {
-        sketch_by_scheme_into(
+        sketch_masked_into(
             seq,
             self.config.k,
             self.scheme,
@@ -375,12 +377,7 @@ impl JemMapper {
     ) {
         self.sketch_segment_into(seg, scratch);
         let MapScratch { sketch, probe, .. } = scratch;
-        let entries = sketch
-            .per_trial
-            .iter()
-            .enumerate()
-            .flat_map(|(t, codes)| codes.iter().map(move |&code| (code, t)));
-        probe.run(&self.table, entries, filter, qid, counter);
+        probe.run(&self.table, sketch, filter, qid, counter);
     }
 
     /// Map one end segment (Algorithm 2, lines 4–8).

@@ -9,9 +9,11 @@
 //! xorshift generator so the family is fully reproducible.
 //!
 //! The family stores its coefficients in two flat arrays (`A` and `B` side
-//! by side) so the hot path — evaluating *all* `T` trials on one k-mer code
-//! — is a single linear pass over contiguous memory with no division:
-//! [`HashFamily::hash_all_into`].
+//! by side), so both batched forms are linear passes over contiguous memory
+//! with no division: one trial over a block of codes
+//! ([`HashFamily::hash_codes_into`], the general selection kernel) and all
+//! `T` trials on one code ([`HashFamily::hash_all_lanes`], the end-segment
+//! pass).
 
 /// The Mersenne prime `2^61 − 1` used as the default modulus.
 pub const MERSENNE_P61: u64 = (1u64 << 61) - 1;
@@ -269,16 +271,8 @@ impl HashFamily {
         reduce_p61((self.a[t] as u128) * (x as u128) + (self.b[t] as u128))
     }
 
-    /// Evaluate *all* `T` trials on `x` in one batched pass.
-    ///
-    /// `out` is resized to `T`; `out[t]` receives `h_t(x)`. Delegates to
-    /// [`hash_all_lanes`](Self::hash_all_lanes), the lane-parallel sweep.
-    #[inline]
-    pub fn hash_all_into(&self, x: u64, out: &mut Vec<u64>) {
-        self.hash_all_lanes(x, out);
-    }
-
-    /// Lane-parallel evaluation of all `T` trials on one code.
+    /// Lane-parallel evaluation of all `T` trials on one code: `out` is
+    /// resized to `T` and `out[t]` receives `h_t(x)`.
     ///
     /// Sweeps the SoA `A`/`B` arrays in [`LANES`]-wide chunks; for
     /// `x < 2^32` (every `k ≤ 16` code) the inner step is a 32-bit-split
@@ -398,20 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_evaluation_matches_per_trial() {
-        let f = HashFamily::generate(30, 11);
-        let mut out = Vec::new();
-        for x in [0u64, 1, 42, MERSENNE_P61, u64::MAX] {
-            f.hash_all_into(x, &mut out);
-            assert_eq!(out.len(), 30);
-            for (t, &got) in out.iter().enumerate() {
-                assert_eq!(got, f.hash(t, x), "trial {t} x={x}");
-                assert_eq!(got, f.get(t).hash(x), "scalar path trial {t} x={x}");
-            }
-        }
-    }
-
-    #[test]
     fn split_path_matches_u128_reduction_on_corners() {
         // The 32-bit-split lane arithmetic must equal reduce_p61 of the full
         // u128 product for every x < 2^32, across adversarial coefficients.
@@ -475,6 +455,7 @@ mod tests {
             assert_eq!(out.len(), 30);
             for (t, &got) in out.iter().enumerate() {
                 assert_eq!(got, f.hash(t, x), "trial {t} x={x}");
+                assert_eq!(got, f.get(t).hash(x), "scalar path trial {t} x={x}");
             }
         }
     }

@@ -13,7 +13,9 @@
 //! once by a two-pointer prepass, then the `T` trials run trial-major over
 //! one reusable monotone stack ([`SketchScratch`] holds both); the
 //! `_into` variants reuse that scratch across calls so the steady-state hot
-//! path performs no heap allocation. [`sketch_by_jem_naive`] is the direct
+//! path performs no heap allocation. This general kernel sketches subjects
+//! and any query too long for the end-segment pass of
+//! [`masked`](crate::masked). [`sketch_by_jem_naive`] is the direct
 //! transliteration of Algorithm 1 used by tests. The kernel layout is
 //! documented in DESIGN.md §12.
 
@@ -84,6 +86,14 @@ impl JemSketch {
     /// True if no trial selected any sketch (input had no minimizers).
     pub fn is_empty(&self) -> bool {
         self.per_trial.iter().all(Vec::is_empty)
+    }
+
+    /// Every `(code, trial)` entry, trial-major.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.per_trial
+            .iter()
+            .enumerate()
+            .flat_map(|(t, codes)| codes.iter().map(move |&code| (code, t)))
     }
 
     /// Reset to `t` empty trial lists, keeping each list's allocation.
@@ -253,23 +263,20 @@ impl MonotoneStack {
 }
 
 /// Reusable scratch state for the whole sketching pipeline: the minimizer
-/// buffer, the winnowing scratch, the interval-geometry buffers and the
-/// monotone stack. One of these threads through a mapping loop (or an
-/// index-build part, a mapping worker, or a serve worker) so steady-state
-/// sketching allocates nothing.
+/// buffer, the winnowing scratch and the selection buffers. One of these
+/// threads through a mapping loop (or an index-build part, a mapping
+/// worker, or a serve worker) so steady-state sketching allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct SketchScratch {
     pub(crate) mins: Vec<Minimizer>,
     pub(crate) winnow: WinnowScratch,
-    pub(crate) ends: Vec<u32>,
-    pub(crate) starts: Vec<u32>,
-    /// Minimizer codes extracted into a flat array once per selection, so
-    /// the per-trial hash kernel streams contiguous `u64`s instead of
-    /// striding through 16-byte `Minimizer` structs.
-    pub(crate) codes: Vec<u64>,
-    /// Per-trial hash values, filled lane-parallel before each stack sweep.
-    pub(crate) hashes: Vec<u64>,
-    pub(crate) stack: MonotoneStack,
+    pub(crate) select: SelectScratch,
+    /// The general kernel's per-trial sets of a position list too long for
+    /// the end-segment pass, ahead of their fuse into a
+    /// [`MaskedSketch`](crate::MaskedSketch).
+    pub(crate) per_trial: JemSketch,
+    /// The fuse's open-addressing index of distinct codes.
+    pub(crate) fuse: Vec<u32>,
 }
 
 impl SketchScratch {
@@ -277,6 +284,34 @@ impl SketchScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The position list of the last sequence sketched through this
+    /// scratch from its bytes (the list-based entry points leave it
+    /// alone).
+    pub fn minimizers(&self) -> &[Minimizer] {
+        &self.mins
+    }
+}
+
+/// The selection buffers: the general kernel's interval geometry, flat
+/// codes, per-trial hashes and monotone stack, and the end-segment pass's
+/// per-trial running minima.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SelectScratch {
+    ends: Vec<u32>,
+    starts: Vec<u32>,
+    /// Minimizer codes extracted into a flat array once per selection, so
+    /// the per-trial hash kernel streams contiguous `u64`s instead of
+    /// striding through 16-byte `Minimizer` structs.
+    codes: Vec<u64>,
+    /// Hash values: one trial over every code (general kernel) or every
+    /// trial on one code (end-segment pass).
+    pub(crate) hashes: Vec<u64>,
+    stack: MonotoneStack,
+    /// Running minimum per trial of the end-segment pass, by bare hash or
+    /// by `(hash, code)`.
+    pub(crate) best: Vec<u64>,
+    pub(crate) best_wide: Vec<u128>,
 }
 
 /// Compute the JEM sketch of `seq` — efficient version of Algorithm 1.
@@ -311,16 +346,11 @@ pub fn sketch_by_jem_into(
     let SketchScratch {
         mins,
         winnow,
-        ends,
-        starts,
-        codes,
-        hashes,
-        stack,
+        select,
+        ..
     } = scratch;
     minimizers_into(seq, params.minimizer_params(), winnow, mins);
-    select_into(
-        mins, params.ell, family, ends, starts, codes, hashes, stack, out,
-    );
+    select_into(mins, params.ell, family, select, out);
 }
 
 /// Compute the JEM sketch from a precomputed minimizer list.
@@ -336,8 +366,8 @@ pub fn sketch_minimizer_list(mins: &[Minimizer], ell: usize, family: &HashFamily
 }
 
 /// Allocation-free variant of [`sketch_minimizer_list`], reusing
-/// `scratch`'s geometry buffers and stack (its minimizer buffer is
-/// untouched — the list comes from the caller).
+/// `scratch`'s selection buffers (its minimizer buffer is untouched — the
+/// list comes from the caller).
 pub fn sketch_minimizer_list_into(
     mins: &[Minimizer],
     ell: usize,
@@ -345,17 +375,7 @@ pub fn sketch_minimizer_list_into(
     scratch: &mut SketchScratch,
     out: &mut JemSketch,
 ) {
-    select_into(
-        mins,
-        ell,
-        family,
-        &mut scratch.ends,
-        &mut scratch.starts,
-        &mut scratch.codes,
-        &mut scratch.hashes,
-        &mut scratch.stack,
-        out,
-    );
+    select_into(mins, ell, family, &mut scratch.select, out);
 }
 
 /// The T-trial selection kernel (Algorithm 1's interval loop).
@@ -370,18 +390,21 @@ pub fn sketch_minimizer_list_into(
 /// [`MonotoneStack`] then sweeps the precomputed `(hash, code)` pairs —
 /// a next-smaller-element scan that emits only actual winners, with no
 /// per-interval retire/emit loops at all.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn select_into(
     mins: &[Minimizer],
     ell: usize,
     family: &HashFamily,
-    ends: &mut Vec<u32>,
-    starts: &mut Vec<u32>,
-    codes: &mut Vec<u64>,
-    hashes: &mut Vec<u64>,
-    stack: &mut MonotoneStack,
+    scratch: &mut SelectScratch,
     out: &mut JemSketch,
 ) {
+    let SelectScratch {
+        ends,
+        starts,
+        codes,
+        hashes,
+        stack,
+        ..
+    } = scratch;
     let rec = jem_obs::recorder();
     let enabled = rec.enabled();
     let _span = enabled.then(|| jem_obs::Span::enter(rec, "sketch/select"));

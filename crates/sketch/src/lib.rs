@@ -17,6 +17,9 @@
 //! * [`jem`] — the minimizer-based Jaccard estimator sketch, Algorithm 1:
 //!   intervals of length ℓ slid over the minimizer list, `T` MinHashes per
 //!   interval.
+//! * [`masked`] — the query side's code-keyed form of that sketch: each
+//!   distinct code once with its trial mask, from one backward pass when
+//!   the position list spans at most ℓ (every end segment).
 //! * [`jaccard`] — exact Jaccard, the minimizer Jaccard estimate
 //!   `J_m(A,B;w) = J(M(A,w), M(B,w))`, and MinHash collision estimators.
 
@@ -26,6 +29,7 @@
 pub mod hash;
 pub mod jaccard;
 pub mod jem;
+pub mod masked;
 pub mod minhash;
 pub mod minimizer;
 pub mod scheme;
@@ -37,6 +41,7 @@ pub use jem::{
     sketch_by_jem, sketch_by_jem_into, sketch_minimizer_list, sketch_minimizer_list_into,
     JemParams, JemSketch, SketchScratch,
 };
+pub use masked::{sketch_masked_into, MaskedSketch};
 pub use minhash::{classic_minhash_seq, classic_minhash_set, ClassicSketch};
 pub use minimizer::{
     minimizers, minimizers_into, minimizers_naive, Minimizer, MinimizerParams, WinnowScratch,

@@ -109,14 +109,11 @@ pub fn sketch_by_scheme_into(
     let SketchScratch {
         mins,
         winnow,
-        ends,
-        starts,
-        codes,
-        hashes,
-        stack,
+        select,
+        ..
     } = scratch;
     scheme.extract_into(seq, k, winnow, mins);
-    select_into(mins, ell, family, ends, starts, codes, hashes, stack, out);
+    select_into(mins, ell, family, select, out);
 }
 
 #[cfg(test)]
