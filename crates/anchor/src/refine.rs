@@ -14,8 +14,7 @@ use crate::filter::{filter_dominated, FilterScratch, Window};
 use jem_index::SubjectId;
 use jem_seq::SeqRecord;
 use jem_sketch::{Minimizer, SketchScheme, WinnowScratch};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 
 /// Stage-2 tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -140,7 +139,8 @@ pub struct Refiner {
     k: usize,
     params: RefineParams,
     subjects: Vec<SeqRecord>,
-    cache: Mutex<HashMap<SubjectId, Arc<TargetIndex>>>,
+    /// One lazily built position index per subject.
+    cache: Vec<OnceLock<TargetIndex>>,
 }
 
 impl Refiner {
@@ -169,12 +169,13 @@ impl Refiner {
             params.separation_frac.is_finite() && params.separation_frac >= 0.0,
             "separation_frac must be finite and non-negative"
         );
+        let cache = subjects.iter().map(|_| OnceLock::new()).collect();
         Refiner {
             scheme,
             k,
             params,
             subjects,
-            cache: Mutex::new(HashMap::new()),
+            cache,
         }
     }
 
@@ -194,31 +195,13 @@ impl Refiner {
         self.subjects.len()
     }
 
-    /// The cached (or freshly built) position index of `subject`.
-    ///
-    /// Double-checked so concurrent misses on *different* contigs build in
-    /// parallel; a duplicate build of the same contig is possible and
-    /// harmless (last insert wins, both are identical).
-    fn target_index(&self, subject: SubjectId) -> Arc<TargetIndex> {
-        if let Some(t) = self
-            .cache
-            .lock()
-            .expect("target cache poisoned")
-            .get(&subject)
-        {
-            return Arc::clone(t);
-        }
-        let built = Arc::new(TargetIndex::build(
-            &self.subjects[subject as usize].seq,
-            self.scheme,
-            self.k,
-        ));
-        self.cache
-            .lock()
-            .expect("target cache poisoned")
-            .entry(subject)
-            .or_insert(built)
-            .clone()
+    /// The position index of `subject`, built on first use. Concurrent
+    /// first uses of one contig wait for its single build; different
+    /// contigs build in parallel.
+    fn target_index(&self, subject: SubjectId) -> &TargetIndex {
+        self.cache[subject as usize].get_or_init(|| {
+            TargetIndex::build(&self.subjects[subject as usize].seq, self.scheme, self.k)
+        })
     }
 
     /// The sketch-position scheme stage 2 extracts with.
@@ -302,7 +285,7 @@ impl Refiner {
             fwd.clear();
             rev.clear();
             stats.anchors +=
-                collect_anchors(query_mins, query_fwd, seg.len(), self.k, &target, fwd, rev) as u64;
+                collect_anchors(query_mins, query_fwd, seg.len(), self.k, target, fwd, rev) as u64;
             for (reverse, anchors) in [(false, &mut *fwd), (true, &mut *rev)] {
                 if anchors.is_empty() {
                     continue;
@@ -524,6 +507,7 @@ mod tests {
         let p1 = r.refine_segment(&seg, &[(0, 9)], &mut scratch, &mut stats);
         let p2 = r.refine_segment(&seg, &[(0, 9)], &mut scratch, &mut stats);
         assert_eq!(p1, p2);
-        assert_eq!(r.cache.lock().unwrap().len(), 1);
+        let built = r.cache.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!(built, 1);
     }
 }

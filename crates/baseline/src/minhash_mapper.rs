@@ -11,7 +11,7 @@
 //! (Fig. 6: >150 vs JEM's 20–30).
 
 use jem_core::{make_segments, CodeFilter, Mapping, Probe};
-use jem_index::{FlatTable, HitCounter, LazyHitCounter, SubjectId, TrialRuns};
+use jem_index::{FlatTable, HitCounter, LazyHitCounter, MaskedRun, SubjectId};
 use jem_seq::SeqRecord;
 use jem_sketch::{classic_minhash_seq, HashFamily, MaskedSketch};
 
@@ -52,20 +52,20 @@ impl ClassicMinHashMapper {
     /// Sketch and index the subject set.
     pub fn build(subjects: &[SeqRecord], config: &ClassicMinHashConfig) -> Self {
         let family = HashFamily::generate(config.trials, config.seed);
-        let mut per_trial = vec![Vec::new(); config.trials];
+        let mut entries = Vec::new();
         for (id, rec) in subjects.iter().enumerate() {
             let sketch = classic_minhash_seq(&rec.seq, config.k, &family);
-            for (run, value) in per_trial.iter_mut().zip(&sketch.values) {
-                if let Some(code) = value {
-                    run.push((*code, id as SubjectId));
+            for (t, value) in sketch.values.iter().enumerate() {
+                if let Some(code) = *value {
+                    entries.push((t, code, id as SubjectId));
                 }
             }
         }
-        let runs = TrialRuns::from_unsorted(per_trial);
+        let run = MaskedRun::from_entries(config.trials, entries);
         ClassicMinHashMapper {
             config: *config,
             family,
-            table: FlatTable::from_runs(config.trials, vec![runs]),
+            table: FlatTable::from_runs(config.trials, vec![run]),
             n_subjects: subjects.len(),
         }
     }

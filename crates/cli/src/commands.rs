@@ -1414,6 +1414,30 @@ pub fn cmd_query(args: &Args) -> Result<(), CliError> {
     // Chunks arrive individually sorted; restore the documented global
     // total order so the TSV matches the offline driver byte for byte.
     mappings.sort_unstable();
+    // Subject ids and segment identities come off the wire: check them
+    // once, before stage 2 or the TSV index anything with them.
+    let by_key: std::collections::HashMap<(u32, ReadEnd), usize> = segments
+        .iter()
+        .enumerate()
+        .map(|(i, s)| ((s.read_idx, s.end), i))
+        .collect();
+    for m in &mappings {
+        if m.subject as usize >= info.subject_names.len() {
+            return Err(CliError::Data(format!(
+                "server at {addr} mapped read {} {} to subject {}, but names only {} subjects",
+                m.read_idx,
+                m.end,
+                m.subject,
+                info.subject_names.len()
+            )));
+        }
+        if !by_key.contains_key(&(m.read_idx, m.end)) {
+            return Err(CliError::Data(format!(
+                "server at {addr} answered read {} {}, which was not asked for",
+                m.read_idx, m.end
+            )));
+        }
+    }
     eprintln!("{} end segments mapped", mappings.len());
     if let Some(paf_path) = args.get("paf") {
         // Client-side stage 2: the server answers best-contig only, so the
@@ -1445,19 +1469,11 @@ pub fn cmd_query(args: &Args) -> Result<(), CliError> {
             }
         }
         let refiner = Refiner::new(info.scheme, info.config.k, subjects);
-        let by_key: std::collections::HashMap<(u32, ReadEnd), usize> = segments
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ((s.read_idx, s.end), i))
-            .collect();
         let mut scratch = RefineScratch::default();
         let mut stats = RefineStats::default();
         let mut rows: Vec<PafRow> = Vec::new();
         for m in &mappings {
-            let Some(&i) = by_key.get(&(m.read_idx, m.end)) else {
-                continue;
-            };
-            let seg = &segments[i];
+            let seg = &segments[by_key[&(m.read_idx, m.end)]];
             if let Some(p) =
                 refiner.refine_segment(&seg.seq, &[(m.subject, m.hits)], &mut scratch, &mut stats)
             {

@@ -483,3 +483,73 @@ fn an_anonymous_query_over_quota_exits_75() {
     assert!(stderr.contains("retry after"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A server whose answers do not fit what it announced — a subject id
+/// past its name table — must fail `jem query` with a typed data error
+/// before anything indexes by that id: exit 1, no panic, no output file.
+#[test]
+fn query_refuses_served_subjects_the_server_never_named() {
+    use jem_core::{MapperConfig, Mapping};
+    use jem_serve::{read_frame, write_frame, Request, Response, ServerInfo};
+    use jem_sketch::SketchScheme;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            std::thread::spawn(move || {
+                while let Ok(body) = read_frame(&mut conn) {
+                    let resp = match Request::decode(&body) {
+                        Ok((_, Request::Info)) => Response::Info(ServerInfo {
+                            config: MapperConfig {
+                                k: 12,
+                                w: 8,
+                                trials: 4,
+                                ell: 200,
+                                seed: 1,
+                            },
+                            scheme: SketchScheme::Minimizer { w: 8 },
+                            subject_names: vec!["c0".into()],
+                            shards: 1,
+                            batch: 16,
+                        }),
+                        Ok((_, Request::Map { segments })) => Response::Mappings(
+                            segments
+                                .iter()
+                                .map(|s| Mapping {
+                                    read_idx: s.read_idx,
+                                    end: s.end,
+                                    subject: 7,
+                                    hits: 3,
+                                })
+                                .collect(),
+                        ),
+                        _ => Response::Error("unexpected request".into()),
+                    };
+                    if write_frame(&mut conn, &resp.encode()).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    let dir = workdir("lying_server");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let read: String = (0..600).map(|i| ['A', 'C', 'G', 'T'][i * 7 % 4]).collect();
+    std::fs::write(p("q.fq"), format!("@r0\n{read}\n+\n{}\n", "I".repeat(600))).unwrap();
+    let out = jem()
+        .args(["query", "--addr", &addr, "--queries", &p("q.fq")])
+        .args(["--out", &p("out.tsv")])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("subject 7"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.join("out.tsv").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

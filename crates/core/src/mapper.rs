@@ -7,8 +7,8 @@ use jem_index::{
 };
 use jem_seq::SeqRecord;
 use jem_sketch::{
-    sketch_by_scheme, sketch_by_scheme_into, sketch_masked_into, HashFamily, JemParams, JemSketch,
-    MaskedSketch, Minimizer, SketchScheme, SketchScratch,
+    sketch_by_scheme, sketch_masked_into, HashFamily, JemParams, JemSketch, MaskedSketch,
+    Minimizer, SketchScheme, SketchScratch,
 };
 use std::ops::Range;
 
@@ -239,9 +239,11 @@ impl JemMapper {
     /// when the scheme carries its own parameters.
     ///
     /// Subjects are borrowed: sketching reads the sequence bytes in place
-    /// and only the record ids are copied (into the name table). The table
-    /// is written straight into the flat v5 layout, so saving it streams
-    /// these words as they are.
+    /// and only the record ids are copied (into the name table). Each
+    /// subject is sketched in code-keyed form through the entry point
+    /// queries use ([`sketch_masked_into`]), and the table is written
+    /// straight into the flat v5 layout, so saving it streams these words
+    /// as they are.
     pub fn build_with_scheme(
         subjects: &[SeqRecord],
         config: &MapperConfig,
@@ -251,7 +253,7 @@ impl JemMapper {
         scheme.validate(config.k).expect("invalid sketch scheme");
         let family = config.hash_family();
         let table = build_table_with(subjects, family.len(), |seq, scratch, sketch| {
-            sketch_by_scheme_into(seq, config.k, scheme, config.ell, &family, scratch, sketch)
+            sketch_masked_into(seq, config.k, scheme, config.ell, &family, scratch, sketch)
         });
         let names = subjects.iter().map(|s| s.id.clone()).collect();
         Self::from_table_with_scheme(table, names, config, scheme)
@@ -469,29 +471,25 @@ impl JemMapper {
         ranked
     }
 
-    /// The per-trial collision sets of one segment restricted to the codes
-    /// `filter` admits — the shard half of a router scatter-gather, read
-    /// off the trial masks: entry `t` lists, ascending, the subjects whose
-    /// mask has bit `t`. A filter admits a code on every trial or on none,
-    /// so the sets of disjoint filters union into the unfiltered sets.
+    /// Every subject one segment collides with through the codes `filter`
+    /// admits, once, with the trial mask of those collisions, ascending by
+    /// subject — the shard half of a router scatter-gather: the lazy
+    /// counter's hits as they stand. A filter admits a code on every trial
+    /// or on none, so the masks of disjoint filters OR into the unfiltered
+    /// masks.
     pub fn segment_partials(
         &self,
         seg: &[u8],
         filter: &CodeFilter,
         scratch: &mut MapScratch,
-    ) -> Vec<Vec<SubjectId>> {
-        let trials = self.config.trials;
+    ) -> Vec<(SubjectId, Vec<u32>)> {
         self.with_ranker(seg, filter, scratch, |counter, qid| {
-            let mut hits: Vec<(SubjectId, &[u32])> = counter.hits(qid).collect();
+            let mut hits: Vec<(SubjectId, Vec<u32>)> = counter
+                .hits(qid)
+                .map(|(s, mask)| (s, mask.to_vec()))
+                .collect();
             hits.sort_unstable_by_key(|&(s, _)| s);
-            (0..trials)
-                .map(|t| {
-                    hits.iter()
-                        .filter(|(_, mask)| mask[t / 32] >> (t % 32) & 1 == 1)
-                        .map(|&(s, _)| s)
-                        .collect()
-                })
-                .collect()
+            hits
         })
     }
 
@@ -690,8 +688,12 @@ mod tests {
         let config = small_config();
         let built = JemMapper::build(&subjects, &config);
         let names: Vec<String> = subjects.iter().map(|s| s.id.clone()).collect();
-        let table = FlatTable::from_runs(config.trials, vec![built.table().to_runs()]);
-        assert_eq!(table.blob(), built.table().blob());
+        let table = FlatTable::from_source(
+            std::sync::Arc::new(built.table().blob().to_vec()),
+            0,
+            config.trials,
+        )
+        .unwrap();
         let rebuilt = JemMapper::from_table(table, names, &config);
         let query = subjects[1].seq[..250].to_vec();
         let mut c1 = built.new_counter();

@@ -53,15 +53,19 @@
 //! in memory — and `jem index --upgrade` rewrites them as v5:
 //!
 //! * **JEMIDX v4** has v5's header and names, but its table is `T`
-//!   per-trial banks (a bucket array and a subject arena each). A private
-//!   read-only decoder turns the banks back into per-trial runs.
-//! * **JEMIDX v3** serialized the table as a `[n_keys, (code, n_subjects,
-//!   subjects…)*]` stream ([`jem_index::TrialRuns::encode`]) under a
-//!   byte-wise frame checksum ([`jem_index::fnv1a64`]).
+//!   per-trial banks (a bucket array and a subject arena each).
+//! * **JEMIDX v3** serialized the table as a per-trial `[n_keys, (code,
+//!   n_subjects, subjects…)*]` stream under a byte-wise frame checksum
+//!   ([`jem_index::fnv1a64`]).
+//!
+//! A private read-only reader per format turns the per-trial table back
+//! into `(trial, code, subject)` entries, which
+//! [`jem_index::MaskedRun::from_entries`] folds into the one code-keyed
+//! run the v5 writer takes.
 
 use crate::config::MapperConfig;
 use crate::mapper::JemMapper;
-use jem_index::{checksum_chain, checksum_words, fnv1a64, FlatTable, TrialRuns, WordSource};
+use jem_index::{checksum_chain, checksum_words, fnv1a64, FlatTable, MaskedRun, WordSource};
 use jem_mmap::MmapWords;
 use jem_seq::SeqError;
 use jem_sketch::SketchScheme;
@@ -455,9 +459,9 @@ fn parse_words(source: Arc<dyn WordSource>) -> Result<JemMapper, SeqError> {
 
     let corrupt = |e: &dyn std::fmt::Display| format_err(format!("index table is corrupt: {e}"));
     let flat = if legacy {
-        let runs =
-            legacy_v4::decode(&words[table_off..], config.trials).map_err(|e| corrupt(&e))?;
-        FlatTable::from_runs(config.trials, vec![runs])
+        let entries =
+            legacy::v4_entries(&words[table_off..], config.trials).map_err(|e| corrupt(&e))?;
+        legacy::table(config.trials, entries)
     } else {
         let flat = FlatTable::from_source(Arc::clone(&source), table_off, config.trials)
             .map_err(|e| corrupt(&e))?;
@@ -617,33 +621,90 @@ fn load_v3_body<R: Read>(
     for _ in 0..stream_len {
         stream.push(read_u64(input)?);
     }
-    let runs = TrialRuns::decode(&stream, trials)
+    let entries = legacy::v3_entries(&stream, trials)
         .map_err(|e| format_err(format!("index table stream is corrupt: {e}")))?;
     Ok(JemMapper::from_table_with_scheme(
-        FlatTable::from_runs(trials, vec![runs]),
+        legacy::table(trials, entries),
         names,
         &config,
         scheme,
     ))
 }
 
-/// The JEMIDX v4 table section — `T` per-trial banks — read only to
-/// convert legacy files; nothing writes it any more.
-///
-/// ```text
-/// word 0        trial count T
-/// words 1..1+4T per trial t: bucket_off, bucket_cap, arena_off, arena_len
-///               (blob-relative word offsets; arena_len counts subject ids)
-/// sections      per trial: bucket_cap slots [code, (start << 24) | len]
-///               (0 = empty), then the arena's subject ids packed two per
-///               word, low half first
-/// ```
-mod legacy_v4 {
-    use jem_index::{Posting, SubjectId, TrialRuns};
+/// Readers of the legacy per-trial table sections, kept only to convert
+/// old files; nothing writes them any more. Each yields the table's
+/// `(trial, code, subject)` entries; every section, slot and length is
+/// bounds-checked first, and any violation is an error, never a panic.
+mod legacy {
+    use super::{FlatTable, MaskedRun};
+    use jem_index::SubjectId;
 
-    /// The banks of a v4 table as per-trial runs. Every section and slot
-    /// is bounds-checked first; any violation is an error, never a panic.
-    pub(super) fn decode(table: &[u64], trials: usize) -> Result<TrialRuns, String> {
+    /// A `(trial, code, subject)` association.
+    type Entry = (usize, u64, SubjectId);
+
+    /// The v5 table of a legacy file's entries.
+    pub(super) fn table(trials: usize, entries: Vec<Entry>) -> FlatTable {
+        FlatTable::from_runs(trials, vec![MaskedRun::from_entries(trials, entries)])
+    }
+
+    /// The entries of a JEMIDX v3 table stream:
+    ///
+    /// ```text
+    /// per trial  [n_keys, (code, n_subjects, subjects…)*]
+    /// ```
+    ///
+    /// Keys come in hash order and subject lists unsorted; one word per
+    /// subject id.
+    pub(super) fn v3_entries(stream: &[u64], trials: usize) -> Result<Vec<Entry>, String> {
+        let len = stream.len();
+        let word = |i: usize| {
+            stream
+                .get(i)
+                .copied()
+                .ok_or_else(|| format!("v3 stream truncated at word {i} of {len}"))
+        };
+        let mut entries = Vec::new();
+        let mut i = 0usize;
+        for t in 0..trials {
+            let n_keys = word(i)?;
+            i += 1;
+            for _ in 0..n_keys {
+                // `code` at i, `n_subjects` at i + 1, then the subject list.
+                let code = word(i)?;
+                let n_subj = word(i + 1)?;
+                i += 2;
+                let end = usize::try_from(n_subj)
+                    .ok()
+                    .and_then(|n| i.checked_add(n))
+                    .filter(|&end| end <= len)
+                    .ok_or_else(|| {
+                        format!("v3 key at word {i} lists {n_subj} subjects past the stream")
+                    })?;
+                for &w in &stream[i..end] {
+                    let subject = SubjectId::try_from(w)
+                        .map_err(|_| format!("v3 subject id {w} overflows u32"))?;
+                    entries.push((t, code, subject));
+                }
+                i = end;
+            }
+        }
+        if i != len {
+            return Err(format!("v3 stream has {} trailing words", len - i));
+        }
+        Ok(entries)
+    }
+
+    /// The entries of a JEMIDX v4 table section — `T` per-trial banks:
+    ///
+    /// ```text
+    /// word 0        trial count T
+    /// words 1..1+4T per trial t: bucket_off, bucket_cap, arena_off, arena_len
+    ///               (blob-relative word offsets; arena_len counts subject ids)
+    /// sections      per trial: bucket_cap slots [code, (start << 24) | len]
+    ///               (0 = empty), then the arena's subject ids packed two per
+    ///               word, low half first
+    /// ```
+    pub(super) fn v4_entries(table: &[u64], trials: usize) -> Result<Vec<Entry>, String> {
         let len = table.len();
         let word = |i: usize| {
             table
@@ -658,7 +719,7 @@ mod legacy_v4 {
                 table[0]
             ));
         }
-        let mut per_trial: Vec<Vec<Posting>> = Vec::with_capacity(trials.min(len));
+        let mut entries = Vec::new();
         for t in 0..trials {
             let m = 1 + 4 * t;
             let (cap, arena_len) = (word(m + 1)?, index(word(m + 3)?)?);
@@ -672,7 +733,6 @@ mod legacy_v4 {
             if !fits(buckets, cap.saturating_mul(2)) || !fits(arena, arena_len.div_ceil(2)) {
                 return Err(format!("v4 trial {t} sections reach past the table"));
             }
-            let mut run = Vec::new();
             for slot in 0..cap {
                 let off_len = table[buckets + 2 * slot + 1];
                 if off_len == 0 {
@@ -685,14 +745,13 @@ mod legacy_v4 {
                     ));
                 }
                 let code = table[buckets + 2 * slot];
-                run.extend((start..start + n).map(|j| {
+                entries.extend((start..start + n).map(|j| {
                     let subject = table[arena + j / 2] >> (32 * (j & 1));
-                    (code, subject as SubjectId)
+                    (t, code, subject as SubjectId)
                 }));
             }
-            per_trial.push(run);
         }
-        Ok(TrialRuns::from_unsorted(per_trial))
+        Ok(entries)
     }
 }
 
@@ -724,7 +783,7 @@ mod tests {
             body.extend_from_slice(&(name.len() as u64).to_le_bytes());
             body.extend_from_slice(name);
         }
-        let stream = mapper.table().to_runs().encode();
+        let stream = v3_stream(mapper.table());
         body.extend_from_slice(&(stream.len() as u64).to_le_bytes());
         for v in &stream {
             body.extend_from_slice(&v.to_le_bytes());
@@ -734,6 +793,45 @@ mod tests {
         out.write_all(&fnv1a64(&body).to_le_bytes())?;
         out.write_all(&body)?;
         Ok(())
+    }
+
+    /// A table as the v3 per-trial stream, keys in ascending code order:
+    /// every code probed on every trial.
+    fn v3_stream(table: &FlatTable) -> Vec<u64> {
+        let trials = table.trials();
+        let mut codes = Vec::new();
+        table.for_each_code(|code, _| codes.push(code));
+        codes.sort_unstable();
+        let mut every_trial = vec![0u32; table.mask_words()];
+        for t in 0..trials {
+            every_trial[t / 32] |= 1 << (t % 32);
+        }
+        let mut per_trial: Vec<Vec<(u64, Vec<u64>)>> = vec![Vec::new(); trials];
+        let mut scratch = jem_index::ProbeScratch::default();
+        for code in codes {
+            let mut lists = vec![Vec::new(); trials];
+            table.probe(&[code], &every_trial, &mut scratch, |s, mask| {
+                for (t, list) in lists.iter_mut().enumerate() {
+                    if mask[t / 32] >> (t % 32) & 1 == 1 {
+                        list.push(u64::from(s));
+                    }
+                }
+            });
+            for (keys, list) in per_trial.iter_mut().zip(lists) {
+                if !list.is_empty() {
+                    keys.push((code, list));
+                }
+            }
+        }
+        let mut stream = Vec::new();
+        for keys in per_trial {
+            stream.push(keys.len() as u64);
+            for (code, list) in keys {
+                stream.extend([code, list.len() as u64]);
+                stream.extend(list);
+            }
+        }
+        stream
     }
 
     fn build() -> (JemMapper, Vec<SeqRecord>) {
@@ -1223,15 +1321,58 @@ mod tests {
             .collect();
         let table = &words[words[14] as usize..];
         let trials = mapped.config().trials;
-        assert!(legacy_v4::decode(table, trials).is_ok());
+        assert!(legacy::v4_entries(table, trials).is_ok());
         for cut in [0, 1, 2, 4 * trials, table.len() - 1] {
             assert!(
-                legacy_v4::decode(&table[..cut], trials).is_err(),
+                legacy::v4_entries(&table[..cut], trials).is_err(),
                 "cut {cut}"
             );
         }
         let mut bad = table.to_vec();
         bad[2] = 3; // trial 0's bucket capacity
-        assert!(legacy_v4::decode(&bad, trials).is_err());
+        assert!(legacy::v4_entries(&bad, trials).is_err());
+    }
+
+    #[test]
+    fn v3_reader_takes_hash_order_streams() {
+        // Keys out of order and a subject list unsorted: the entries fold
+        // into the same table as the sorted stream's.
+        let v3 = [3, 100, 2, 5, 2, 7, 1, 1, 9, 1, 1, 1, 9, 1, 4];
+        let entries = legacy::v3_entries(&v3, 2).unwrap();
+        assert_eq!(
+            entries,
+            [(0, 100, 5), (0, 100, 2), (0, 7, 1), (0, 9, 1), (1, 9, 4)]
+        );
+        let sorted = [3, 7, 1, 1, 9, 1, 1, 100, 2, 2, 5, 1, 9, 1, 4];
+        let table = legacy::table(2, entries);
+        assert_eq!(
+            table.blob(),
+            legacy::table(2, legacy::v3_entries(&sorted, 2).unwrap()).blob()
+        );
+        assert_eq!(table.entry_count(), 5);
+    }
+
+    #[test]
+    fn v3_reader_refuses_malformed_streams() {
+        let stream = [2, 7, 1, 1, 100, 2, 2, 5, 1, 9, 1, 4];
+        assert!(legacy::v3_entries(&stream, 2).is_ok());
+        for cut in 0..stream.len() {
+            assert!(
+                legacy::v3_entries(&stream[..cut], 2).is_err(),
+                "cut at {cut}"
+            );
+        }
+        let mut longer = stream.to_vec();
+        longer.push(99);
+        assert!(legacy::v3_entries(&longer, 2)
+            .unwrap_err()
+            .contains("trailing"));
+        let overflow = [1, 42, 1, u64::from(u32::MAX) + 7];
+        assert!(legacy::v3_entries(&overflow, 1)
+            .unwrap_err()
+            .contains("overflows u32"));
+        for huge in [u64::MAX, 1 << 40] {
+            assert!(legacy::v3_entries(&[1, 42, huge], 1).is_err());
+        }
     }
 }

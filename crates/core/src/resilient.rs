@@ -7,30 +7,32 @@
 //!   `"query map"` run per *block* — block *b* is the share the fault-free
 //!   run gives rank *b* — so a crashed rank's blocks are replayed by the
 //!   survivors (`"<step> retry <n>"`) without changing the output.
+//! * **S2** sketches each block's subjects into one code-keyed run
+//!   ([`MaskedRun`]) and ships it as a framed, checksummed stream
+//!   ([`MaskedRun::encode_framed`]).
 //! * **S3** charges the `"sketch gather"` Allgatherv, verifies every
-//!   framed, checksummed S2 stream ([`TrialRuns::encode_framed`]),
-//!   re-requests the frames that fail (`"sketch re-request <n>"`), and
-//!   writes the replicated table once every block's runs are in
-//!   (`"global table build"`).
+//!   frame, re-requests the frames that fail (`"sketch re-request <n>"`),
+//!   and merges the runs into the replicated table once every block's run
+//!   is in (`"global table build"`).
 //! * A final `"result gather"` collective collects the mappings.
 //! * An optional checkpoint of the replicated index lets a later run skip
 //!   S1–S3; a corrupt or mismatched checkpoint is ignored, never trusted.
 //!
 //! Invariant: any plan that leaves at least one rank alive yields exactly
 //! the mappings of [`JemMapper::map_reads`], sorted. The table is written
-//! from the merged, sorted runs — independent of which rank delivered which
-//! block, and when — and mappings are finally sorted by `(read_idx, end)`.
+//! from the merged runs — independent of which rank delivered which block,
+//! and when — and mappings are finally sorted by `(read_idx, end)`.
 
 use crate::config::MapperConfig;
 use crate::mapper::{JemMapper, Mapping};
 use crate::persist::{load_index, save_index};
 use crate::segment::make_segments;
-use jem_index::{sketch_runs, FlatTable, SubjectId, TrialRuns};
+use jem_index::{sketch_runs, FlatTable, MaskedRun, SubjectId};
 use jem_psim::{
     block_range, corrupt_u64s, CostModel, ExecMode, FaultPlan, RankOutcome, RunReport, World,
 };
 use jem_seq::{SeqError, SeqRecord};
-use jem_sketch::sketch_by_jem_into;
+use jem_sketch::{sketch_masked_into, SketchScheme};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -300,10 +302,10 @@ fn delivered(outcome: RankOutcome<Vec<u64>>, seed: u64) -> Option<Vec<u64>> {
     }
 }
 
-/// The global table once every block's runs have arrived (they are taken
+/// The global table once every block's run has arrived (they are taken
 /// and merged); `None`, with the runs untouched, while any block is
 /// missing.
-fn build_when_complete(trials: usize, runs: &mut [Option<TrialRuns>]) -> Option<FlatTable> {
+fn build_when_complete(trials: usize, runs: &mut [Option<MaskedRun>]) -> Option<FlatTable> {
     if runs.iter().any(Option::is_none) {
         return None;
     }
@@ -348,7 +350,8 @@ pub fn run_distributed_resilient(
     mode: ExecMode,
     opts: &ResilienceOptions,
 ) -> Result<DistributedOutcome, ResilienceError> {
-    let params = config.jem_params().expect("invalid mapper configuration");
+    config.jem_params().expect("invalid mapper configuration");
+    let scheme = SketchScheme::Minimizer { w: config.w };
     let family = config.hash_family();
     let trials = config.trials;
     let world = World::new(p, cost)
@@ -379,12 +382,12 @@ pub fn run_distributed_resilient(
             (subjects[s_range].to_vec(), reads[q_range].to_vec())
         })?;
 
-        // S2 — subject sketch: per-block sorted runs over global subject
-        // ids, shipped as framed, checksummed streams.
+        // S2 — subject sketch: one code-keyed run per block over global
+        // subject ids, shipped as a framed, checksummed stream.
         let sketch_frame = |b: usize| {
             let first = block_range(p, subjects.len(), b).start as SubjectId;
             sketch_runs(&blocks[b].0, first, trials, |seq, scratch, sketch| {
-                sketch_by_jem_into(seq, params, &family, scratch, sketch)
+                sketch_masked_into(seq, config.k, scheme, config.ell, &family, scratch, sketch)
             })
             .encode_framed()
         };
@@ -407,13 +410,13 @@ pub fn run_distributed_resilient(
         )?;
 
         // S3 — charge the gather, then build the replicated table. Each
-        // frame is verified (checksum, then structure) before its runs are
+        // frame is verified (checksum, then structure) before its run is
         // kept; a frame that fails contributes nothing and is re-requested.
-        // The table is written once every block's runs are in.
+        // The runs are merged and written once every block's run is in.
         let gather_bytes = frames.iter().map(|f| f.len() * 8).sum();
         drv.world.charge_comm("sketch gather", gather_bytes);
-        let verify = |frame: &[u64]| TrialRuns::decode_framed(frame, trials).ok();
-        let mut runs: Vec<Option<TrialRuns>> = Vec::new();
+        let verify = |frame: &[u64]| MaskedRun::decode_framed(frame, trials).ok();
+        let mut runs: Vec<Option<MaskedRun>> = Vec::new();
         let mut table = drv.world.superstep_replicated("global table build", || {
             runs = frames.iter().map(|f| verify(f)).collect();
             build_when_complete(trials, &mut runs)
@@ -446,7 +449,7 @@ pub fn run_distributed_resilient(
                 build_when_complete(trials, &mut runs)
             });
         }
-        let table = table.expect("every block's runs are in");
+        let table = table.expect("every block's run is in");
         let subject_names: Vec<String> = subjects.iter().map(|s| s.id.clone()).collect();
         let mapper = JemMapper::from_table(table, subject_names, config);
 
@@ -879,8 +882,12 @@ mod tests {
     fn corrupt_frame_leaves_the_verified_runs_untouched() {
         let (subjects, _) = world_data();
         let config = config();
-        let (params, family, trials, p) =
-            (config.jem_params().unwrap(), config.hash_family(), 8, 4);
+        let (scheme, family, trials, p) = (
+            SketchScheme::Minimizer { w: config.w },
+            config.hash_family(),
+            8,
+            4,
+        );
         let frames: Vec<Vec<u64>> = (0..p)
             .map(|b| {
                 let range = block_range(p, subjects.len(), b);
@@ -889,7 +896,9 @@ mod tests {
                     range.start as SubjectId,
                     trials,
                     |seq, scratch, sketch| {
-                        sketch_by_jem_into(seq, params, &family, scratch, sketch)
+                        sketch_masked_into(
+                            seq, config.k, scheme, config.ell, &family, scratch, sketch,
+                        )
                     },
                 )
                 .encode_framed()
@@ -899,16 +908,16 @@ mod tests {
         // nothing, while the other blocks' runs decode as sent.
         let mut delivered = frames.clone();
         corrupt_u64s(&mut delivered[2], 7);
-        let mut runs: Vec<Option<TrialRuns>> = delivered
+        let mut runs: Vec<Option<MaskedRun>> = delivered
             .iter()
-            .map(|f| TrialRuns::decode_framed(f, trials).ok())
+            .map(|f| MaskedRun::decode_framed(f, trials).ok())
             .collect();
         assert!(runs[2].is_none(), "a garbled frame must fail verification");
         let kept = runs.clone();
         assert!(build_when_complete(trials, &mut runs).is_none());
         assert_eq!(runs, kept, "an incomplete gather must not consume runs");
         // The re-requested frame completes the gather.
-        runs[2] = TrialRuns::decode_framed(&frames[2], trials).ok();
+        runs[2] = MaskedRun::decode_framed(&frames[2], trials).ok();
         let table = build_when_complete(trials, &mut runs).expect("every block in");
         assert_eq!(
             table.blob(),

@@ -2,16 +2,16 @@
 //!
 //! The kernel answers from one code-keyed table whose postings carry trial
 //! masks of `⌈T/32⌉` words. The reference answers the paper's way: per
-//! trial `t`, a `BTreeSet` bank from the build's own sorted runs, the
-//! query's trial-`t` codes intersected with it, and a subject's count the
-//! number of trials it collided on. Trial counts straddle every mask-word
+//! trial `t`, a `BTreeSet` bank of every subject's Algorithm 1 sketch set
+//! ([`JemMapper::sketch_segment`]), the query's trial-`t` codes intersected
+//! with it, and a subject's count the number of trials it collided on. Trial counts straddle every mask-word
 //! edge (1, 31, 32, 33, 64, 65) and reach Fig. 6's 150, under both sketch
 //! schemes; a lost or misplaced mask bit shows up as a count mismatch.
 
 use jem_core::{JemMapper, MapScratch, MapperConfig};
-use jem_index::{sketch_runs, SubjectId};
+use jem_index::SubjectId;
 use jem_seq::SeqRecord;
-use jem_sketch::{sketch_by_scheme_into, SketchScheme};
+use jem_sketch::SketchScheme;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,7 +21,7 @@ fn dna(min: usize, max: usize) -> impl Strategy<Value = Vec<u8>> {
 
 /// Every subject the query collides with, with its trial count, best
 /// first (more trials, then the smaller id) — from per-trial set
-/// intersections over the build's runs.
+/// intersections over the subjects' Algorithm 1 banks.
 fn naive_ranking(
     mapper: &JemMapper,
     banks: &[BTreeMap<u64, BTreeSet<SubjectId>>],
@@ -71,20 +71,17 @@ proptest! {
             .collect();
         let mapper = JemMapper::build_with_scheme(&records, &config, scheme);
 
-        // The build's own runs, re-derived: one sorted run per trial.
-        let family = config.hash_family();
-        let runs = sketch_runs(&subjects, 0, trials, |seq, scratch, out| {
-            sketch_by_scheme_into(seq, k, scheme, ell, &family, scratch, out)
-        });
-        let banks: Vec<BTreeMap<u64, BTreeSet<SubjectId>>> = (0..trials)
-            .map(|t| {
-                let mut bank: BTreeMap<u64, BTreeSet<SubjectId>> = BTreeMap::new();
-                for &(code, s) in runs.run(t) {
-                    bank.entry(code).or_default().insert(s);
+        // The paper's banks: bank t maps a code to the subjects whose
+        // trial-t sketch set (Algorithm 1) holds it.
+        let mut banks: Vec<BTreeMap<u64, BTreeSet<SubjectId>>> = vec![BTreeMap::new(); trials];
+        for (s, seq) in subjects.iter().enumerate() {
+            let sketch = mapper.sketch_segment(seq);
+            for (bank, codes) in banks.iter_mut().zip(&sketch.per_trial) {
+                for &code in codes {
+                    bank.entry(code).or_default().insert(s as SubjectId);
                 }
-                bank
-            })
-            .collect();
+            }
+        }
 
         // Queries: windows of the subjects (many collisions) and one alien.
         let mut queries: Vec<Vec<u8>> = picks
@@ -107,6 +104,7 @@ proptest! {
             let ranked = mapper.map_segment_topk_with(query, usize::MAX, &mut scratch);
             prop_assert_eq!(ranked, want, "full ranking, T = {}", trials);
         }
-        prop_assert_eq!(mapper.table().entry_count(), runs.entry_count());
+        let entries: usize = banks.iter().flat_map(|b| b.values()).map(BTreeSet::len).sum();
+        prop_assert_eq!(mapper.table().entry_count(), entries);
     }
 }

@@ -1,8 +1,8 @@
 //! Shared-memory parallel sketch-table construction.
 //!
 //! Subjects are sketched on one scoped thread per core, each worker's
-//! share into its own sorted `(code, subject)` runs; the runs are then
-//! merged per trial and written straight into the flat v5 layout
+//! share into its own code-keyed run ([`crate::MaskedRun`]); the runs are
+//! then merged and written straight into the flat v5 layout
 //! ([`FlatTable::from_runs`]). This is the same local-sketch → merge shape
 //! as the distributed steps S2–S3, so the shared-memory and distributed
 //! drivers produce identical tables.
@@ -10,14 +10,15 @@
 use crate::flat::FlatTable;
 use crate::runs::sketch_runs;
 use crate::SubjectId;
-use jem_sketch::{JemSketch, SketchScratch};
+use jem_sketch::{MaskedSketch, SketchScratch};
 use std::ops::Range;
 
 /// Build the sketch table with an arbitrary per-subject sketcher.
 ///
-/// The sketcher writes into a caller-provided [`JemSketch`] using a
-/// [`SketchScratch`]; each part of the subject list reuses one scratch and
-/// one sketch across all its subjects. Subjects are anything that lends
+/// The sketcher writes a subject's code-keyed sketch into a
+/// caller-provided [`MaskedSketch`] using a [`SketchScratch`]; each part of
+/// the subject list reuses one scratch and one sketch across all its
+/// subjects. Subjects are anything that lends
 /// bases (`AsRef<[u8]>`): borrowed records, owned vectors, slices.
 ///
 /// One worker per core (`std::thread::available_parallelism`) sketches
@@ -30,7 +31,7 @@ use std::ops::Range;
 pub fn build_table_with<S: AsRef<[u8]> + Sync>(
     subjects: &[S],
     trials: usize,
-    sketcher: impl Fn(&[u8], &mut SketchScratch, &mut JemSketch) + Sync,
+    sketcher: impl Fn(&[u8], &mut SketchScratch, &mut MaskedSketch) + Sync,
 ) -> FlatTable {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     build_in_parts(subjects, trials, cores, sketcher)
@@ -41,7 +42,7 @@ fn build_in_parts<S: AsRef<[u8]> + Sync>(
     subjects: &[S],
     trials: usize,
     parts: usize,
-    sketcher: impl Fn(&[u8], &mut SketchScratch, &mut JemSketch) + Sync,
+    sketcher: impl Fn(&[u8], &mut SketchScratch, &mut MaskedSketch) + Sync,
 ) -> FlatTable {
     let rec = jem_obs::recorder();
     let _span = jem_obs::Span::enter(rec, "index/build");
@@ -99,7 +100,7 @@ fn balanced_ranges<S: AsRef<[u8]>>(subjects: &[S], parts: usize) -> Vec<Range<us
 mod tests {
     use super::*;
     use crate::flat::lookup_trials;
-    use jem_sketch::{sketch_by_scheme, sketch_by_scheme_into, HashFamily, SketchScheme};
+    use jem_sketch::{sketch_by_scheme, sketch_masked_into, HashFamily, JemSketch, SketchScheme};
     use std::collections::{BTreeMap, BTreeSet};
 
     fn rng_seq(n: usize, seed: u64) -> Vec<u8> {
@@ -180,8 +181,8 @@ mod tests {
             let sketch = |seq: &[u8]| sketch_by_scheme(seq, k, scheme, ell, &family);
             let want = reference(&subjects, &sketch);
             assert!(want.values().any(|s| s.len() > 1), "need shared codes");
-            let sketcher = |seq: &[u8], scratch: &mut SketchScratch, out: &mut JemSketch| {
-                sketch_by_scheme_into(seq, k, scheme, ell, &family, scratch, out)
+            let sketcher = |seq: &[u8], scratch: &mut SketchScratch, out: &mut MaskedSketch| {
+                sketch_masked_into(seq, k, scheme, ell, &family, scratch, out)
             };
             let whole = build_table_with(&subjects, trials, sketcher);
             assert_matches(&whole, &want, trials);
@@ -196,11 +197,15 @@ mod tests {
     fn duplicate_codes_within_one_subject_count_once() {
         let subjects = vec![rng_seq(400, 1), rng_seq(400, 2)];
         // A sketcher that reports every code twice, out of order.
-        let sketcher = |seq: &[u8], _: &mut SketchScratch, out: &mut JemSketch| {
+        let sketcher = |seq: &[u8], _: &mut SketchScratch, out: &mut MaskedSketch| {
             let codes: Vec<u64> = seq.iter().map(|&b| u64::from(b)).collect();
             let mut doubled: Vec<u64> = codes.iter().rev().chain(&codes).copied().collect();
             doubled.push(u64::from(seq[0]));
-            out.per_trial = vec![doubled, codes];
+            let entries = doubled
+                .into_iter()
+                .map(|c| (c, 0))
+                .chain(codes.into_iter().map(|c| (c, 1)));
+            *out = MaskedSketch::from_entries(2, entries);
         };
         let flat = build_in_parts(&subjects, 2, 2, sketcher);
         let mut want = Reference::new();
@@ -237,7 +242,7 @@ mod tests {
         let family = HashFamily::generate(3, 1);
         let scheme = SketchScheme::Minimizer { w: 6 };
         let t = build_table_with::<Vec<u8>>(&[], 3, |seq, scratch, out| {
-            sketch_by_scheme_into(seq, 8, scheme, 100, &family, scratch, out)
+            sketch_masked_into(seq, 8, scheme, 100, &family, scratch, out)
         });
         assert_eq!(t.entry_count(), 0);
         assert_eq!(t.key_count(), 0);

@@ -40,13 +40,13 @@
 //!   of word `t / 32` is trial `t`). At T ≤ 32 a posting is one word. The
 //!   last arena word's unused half is zero.
 //!
-//! [`FlatTable::from_runs`] writes this layout straight from sorted
-//! per-trial `(code, subject)` runs, *canonically* — posting lists in
-//! ascending code order, each code's subjects ascending, and keys inserted
-//! into the bucket array in ascending `(home slot, code)` order — so the
-//! bytes are a pure function of the logical table contents, however the postings were
-//! split across workers, ranks or streams; save → load → save round-trips
-//! byte-identically.
+//! [`FlatTable::from_runs`] writes this layout straight from code-keyed
+//! runs ([`MaskedRun`]), *canonically* — posting lists in ascending code
+//! order, each code's subjects ascending, and keys inserted into the
+//! bucket array in ascending `(home slot, code)` order — so the bytes are
+//! a pure function of the logical table contents, however the postings
+//! were split across workers, ranks or streams; save → load → save
+//! round-trips byte-identically.
 //!
 //! Construction from untrusted bytes goes through the fallible
 //! [`FlatTable::from_source`] validator, which bounds-checks every section
@@ -57,7 +57,7 @@
 //! integrity) nor that subject ids are dense — use
 //! [`FlatTable::max_subject`] to range-check ids against a subject count.
 
-use crate::runs::{radix_sort_by_code, Posting, TrialRuns};
+use crate::runs::{last_word_bits, mask_words, pack_halves, radix_sort_by_code, MaskedRun};
 use crate::SubjectId;
 use std::fmt;
 use std::sync::Arc;
@@ -69,16 +69,6 @@ const LEN_BITS: u32 = 24;
 const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
 /// Blob header words: trials, bucket capacity, posting count, entry count.
 const HEAD: usize = 4;
-
-/// `u32` words in a trial mask over `trials` trials: `⌈T/32⌉`.
-pub(crate) fn mask_words(trials: usize) -> usize {
-    trials.div_ceil(32)
-}
-
-/// Number of trials in a trial mask — the paper's hit count.
-pub(crate) fn trial_count(mask: &[u32]) -> u32 {
-    mask.iter().map(|w| w.count_ones()).sum()
-}
 
 /// A borrowable buffer of `u64` words backing a [`FlatTable`].
 ///
@@ -204,13 +194,10 @@ pub struct FlatTable {
 }
 
 impl FlatTable {
-    /// Build the table from sorted runs — one [`TrialRuns`] per worker,
-    /// rank or stream, in any order — by merging them, never re-sorting.
-    /// Each group of 32 trials is merged pairwise, every run of the group
-    /// from every part at once, into one run of `(code, subject, mask)`
-    /// postings (a posting found on several trials ORs their bits; one
-    /// found twice ORs a bit with itself); the `⌈T/32⌉` group runs then
-    /// merge by `(code, subject)` into postings with all their mask words.
+    /// Build the table from code-keyed runs — one per worker, rank or
+    /// stream, in any order, possibly overlapping — by merging them
+    /// pairwise, never re-sorting: equal `(code, subject)` postings OR
+    /// their masks.
     ///
     /// Posting lists are laid out in ascending code order, each code's
     /// subjects ascending, and keys are inserted in ascending `(home slot,
@@ -220,54 +207,21 @@ impl FlatTable {
     /// # Panics
     /// Panics if a part's trial count differs from `trials`, or a posting
     /// list or the arena outgrows the v5 bounds.
-    pub fn from_runs(trials: usize, parts: Vec<TrialRuns>) -> FlatTable {
+    pub fn from_runs(trials: usize, parts: Vec<MaskedRun>) -> FlatTable {
         for part in &parts {
             assert_eq!(part.trials(), trials, "runs T must match table T");
         }
-        let groups: Vec<Vec<u128>> = (0..mask_words(trials))
-            .map(|g| {
-                let group = 32 * g..trials.min(32 * g + 32);
-                let runs: Vec<(u32, &[Posting])> = parts
-                    .iter()
-                    .flat_map(|part| group.clone().map(move |t| (1 << (t % 32), part.run(t))))
-                    .collect();
-                merge_group(&runs)
-            })
-            .collect();
-        drop(parts);
-        Self::write(trials, &groups)
+        Self::write(MaskedRun::merge_all(trials, parts))
     }
 
-    /// The canonical writer over the per-group fused runs.
-    fn write(trials: usize, groups: &[Vec<u128>]) -> FlatTable {
-        let stride = 1 + mask_words(trials);
-        // Codes with their posting counts, in ascending order, and the
-        // postings as u32 halves (subject, then mask words).
-        let mut keys: Vec<(u64, u64)> = Vec::new();
-        let mut arena: Vec<u32> = Vec::new();
-        merge_by_tree(groups, |code, subject, g, mask| {
-            let last = arena.len().wrapping_sub(stride);
-            match keys.last_mut() {
-                Some(key) if key.0 == code && arena[last] == subject => {}
-                Some(key) if key.0 == code => {
-                    key.1 += 1;
-                    arena.push(subject);
-                    arena.resize(arena.len() + stride - 1, 0);
-                }
-                _ => {
-                    keys.push((code, 1));
-                    arena.push(subject);
-                    arena.resize(arena.len() + stride - 1, 0);
-                }
-            }
-            let at = arena.len() - stride + 1 + g;
-            arena[at] = mask;
-        });
-        let entry_count = arena
-            .chunks(stride)
-            .map(|p| trial_count(&p[1..]) as usize)
-            .sum();
-        let postings = arena.len() / stride;
+    /// The canonical writer over one merged run.
+    fn write(run: MaskedRun) -> FlatTable {
+        let trials = run.trials();
+        let entry_count = run.entry_count();
+        let postings = run.posting_count();
+        let MaskedRun {
+            mut keys, halves, ..
+        } = run;
         assert!(
             (postings as u64) <= (u64::MAX >> LEN_BITS),
             "posting arena too large for v5 offsets"
@@ -277,7 +231,7 @@ impl FlatTable {
         } else {
             (keys.len() * 2).next_power_of_two()
         };
-        let mut blob = Vec::with_capacity(HEAD + 2 * cap + arena.len().div_ceil(2));
+        let mut blob = Vec::with_capacity(HEAD + 2 * cap + halves.len().div_ceil(2));
         blob.extend_from_slice(&[
             trials as u64,
             cap as u64,
@@ -290,7 +244,7 @@ impl FlatTable {
         // bucket array front to back instead of jumping around it.
         let mask = cap.wrapping_sub(1);
         let mut start = 0u64;
-        let mut by_home: Vec<Posting> = Vec::with_capacity(keys.len());
+        let mut by_home: Vec<(u64, u32)> = Vec::with_capacity(keys.len());
         for (i, key) in keys.iter_mut().enumerate() {
             let len = key.1;
             assert!(
@@ -311,11 +265,7 @@ impl FlatTable {
             blob[HEAD + 2 * i] = code;
             blob[HEAD + 2 * i + 1] = off_len;
         }
-        blob.extend(
-            arena
-                .chunks(2)
-                .map(|pair| u64::from(pair[0]) | pair.get(1).map_or(0, |&h| u64::from(h) << 32)),
-        );
+        blob.extend(pack_halves(&halves));
         FlatTable {
             source: Arc::new(blob),
             base: 0,
@@ -399,10 +349,7 @@ impl FlatTable {
     /// [`FlatTable::from_source`].
     pub fn verify_postings(&self) -> Result<(), FlatError> {
         let w = mask_words(self.trials);
-        let tail = match self.trials % 32 {
-            0 => u32::MAX,
-            r => (1u32 << r) - 1,
-        };
+        let tail = last_word_bits(self.trials);
         let view = self.view();
         let mut counted = 0u64;
         for slot in 0..self.cap {
@@ -547,30 +494,6 @@ impl FlatTable {
         }
     }
 
-    /// The table's postings as sorted per-trial runs — the inverse of
-    /// [`FlatTable::from_runs`], for re-encoding a table as a stream
-    /// (legacy v3 writes; not a hot path).
-    pub fn to_runs(&self) -> TrialRuns {
-        let view = self.view();
-        let mut per_trial: Vec<Vec<Posting>> = vec![Vec::new(); self.trials];
-        for slot in 0..self.cap {
-            let off_len = view.words[view.buckets + 2 * slot + 1];
-            if off_len == 0 {
-                continue;
-            }
-            let code = view.words[view.buckets + 2 * slot];
-            let (start, len) = split(off_len);
-            for j in start..start + len {
-                for (t, run) in per_trial.iter_mut().enumerate() {
-                    if view.mask_word(j, t / 32) >> (t % 32) & 1 == 1 {
-                        run.push((code, view.subject(j)));
-                    }
-                }
-            }
-        }
-        TrialRuns::from_unsorted(per_trial)
-    }
-
     /// The table's words: the blob a v5 writer streams. For a table this
     /// crate wrote, these are the canonical words; a loaded table returns
     /// the words it was loaded from.
@@ -664,95 +587,6 @@ impl View<'_> {
     }
 }
 
-/// A posting of one 32-trial group: code, subject and the group's mask
-/// word, packed so that integer order is `(code, subject)` order.
-#[inline]
-fn fused(code: u64, subject: SubjectId, mask: u32) -> u128 {
-    (u128::from(code) << 64) | (u128::from(subject) << 32) | u128::from(mask)
-}
-
-/// One 32-trial group's runs, each with its trial's bit, merged into one
-/// sorted fused run.
-fn merge_group(runs: &[(u32, &[Posting])]) -> Vec<u128> {
-    merge_pairwise(
-        runs.iter()
-            .map(|&(bit, run)| run.iter().map(|&(c, s)| fused(c, s, bit)).collect())
-            .collect(),
-    )
-}
-
-/// Merge sorted fused runs pairwise into one, OR-ing the masks of equal
-/// `(code, subject)` postings, `⌈log₂ k⌉` passes.
-fn merge_pairwise(mut runs: Vec<Vec<u128>>) -> Vec<u128> {
-    runs.retain(|r| !r.is_empty());
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            next.push(match it.next() {
-                Some(b) => merge_two(&a, &b),
-                None => a,
-            });
-        }
-        runs = next;
-    }
-    runs.pop().unwrap_or_default()
-}
-
-/// One merge step without data-dependent branches: each step emits the
-/// smaller head, or both heads OR-ed when their keys are equal.
-fn merge_two(a: &[u128], b: &[u128]) -> Vec<u128> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        let (take_x, take_y) = (x >> 32 <= y >> 32, y >> 32 <= x >> 32);
-        let keep = |v: u128, take: bool| v & 0u128.wrapping_sub(u128::from(take));
-        out.push(keep(x, take_x) | keep(y, take_y));
-        i += usize::from(take_x);
-        j += usize::from(take_y);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Visit every posting of the sorted fused `runs` (one per trial group) in
-/// ascending `(code, subject)` order as `(code, subject, group, mask)` — a
-/// k-way merge through a tournament tree over the runs' heads.
-fn merge_by_tree(runs: &[Vec<u128>], mut visit: impl FnMut(u64, SubjectId, usize, u32)) {
-    // Live heads rank by key + 1 ≤ 2^96, so no posting collides with DONE.
-    const DONE: u128 = u128::MAX;
-    let head = |run: &[u128], i: usize| run.get(i).map_or(DONE, |&p| (p >> 32) + 1);
-    let k = runs.len().next_power_of_two();
-    let mut next = vec![0usize; k];
-    let mut key: Vec<u128> = (0..k)
-        .map(|r| runs.get(r).map_or(DONE, |run| head(run, 0)))
-        .collect();
-    // `tree[n]` is the run with the smallest head below node `n`; the
-    // leaves `k..2k` are the runs themselves.
-    let mut tree: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
-    let pick = |key: &[u128], a: usize, b: usize| if key[a] <= key[b] { a } else { b };
-    for n in (1..k).rev() {
-        tree[n] = pick(&key, tree[2 * n], tree[2 * n + 1]);
-    }
-    loop {
-        let r = tree[1];
-        if key[r] == DONE {
-            return;
-        }
-        let p = runs[r][next[r]];
-        visit((p >> 64) as u64, (p >> 32) as SubjectId, r, p as u32);
-        next[r] += 1;
-        key[r] = head(&runs[r], next[r]);
-        let mut n = (k + r) / 2;
-        while n >= 1 {
-            tree[n] = pick(&key, tree[2 * n], tree[2 * n + 1]);
-            n /= 2;
-        }
-    }
-}
-
 /// Home slot of `code` in a bucket array of `mask + 1` slots.
 #[inline]
 fn home(code: u64, mask: usize) -> usize {
@@ -801,8 +635,8 @@ pub(crate) fn lookup_trials(table: &FlatTable, code: u64) -> Vec<Vec<SubjectId>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runs::sketch_runs;
-    use jem_sketch::{sketch_by_jem_into, HashFamily, JemParams};
+    use jem_sketch::{sketch_by_jem, HashFamily, JemParams};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn rng_seq(n: usize, seed: u64) -> Vec<u8> {
         (0..n)
@@ -815,16 +649,27 @@ mod tests {
             .collect()
     }
 
-    /// Sorted runs of `subjects` random sequences, ids `0..subjects`.
-    fn sample_runs(trials: usize, subjects: u32, seed: u64) -> TrialRuns {
+    /// Algorithm 1's `(trial, code, subject)` entries of `subjects` random
+    /// sequences, ids `0..subjects`.
+    fn sample_entries(trials: usize, subjects: u32, seed: u64) -> Vec<(usize, u64, SubjectId)> {
         let family = HashFamily::generate(trials, seed);
         let params = JemParams::new(6, 5, 80).unwrap();
-        let seqs: Vec<Vec<u8>> = (0..subjects)
-            .map(|s| rng_seq(300, u64::from(s) + seed * 100))
-            .collect();
-        sketch_runs(&seqs, 0, trials, |seq, scratch, sketch| {
-            sketch_by_jem_into(seq, params, &family, scratch, sketch)
-        })
+        let mut entries = Vec::new();
+        for s in 0..subjects {
+            let seq = rng_seq(300, u64::from(s) + seed * 100);
+            for (t, codes) in sketch_by_jem(&seq, params, &family)
+                .per_trial
+                .iter()
+                .enumerate()
+            {
+                entries.extend(codes.iter().map(|&code| (t, code, s)));
+            }
+        }
+        entries
+    }
+
+    fn sample_runs(trials: usize, subjects: u32, seed: u64) -> MaskedRun {
+        MaskedRun::from_entries(trials, sample_entries(trials, subjects, seed))
     }
 
     fn sample_blob(trials: usize, subjects: u32, seed: u64) -> Vec<u64> {
@@ -835,42 +680,43 @@ mod tests {
     #[test]
     fn from_runs_preserves_every_bank_lookup() {
         for trials in [1, 4, 31, 32, 33, 65] {
-            let runs = sample_runs(trials, 12, 3);
-            let flat = FlatTable::from_runs(trials, vec![runs.clone()]);
+            let entries = sample_entries(trials, 12, 3);
+            let mut banks: BTreeMap<(usize, u64), BTreeSet<SubjectId>> = BTreeMap::new();
+            for &(t, code, s) in &entries {
+                banks.entry((t, code)).or_default().insert(s);
+            }
+            let flat = FlatTable::from_runs(trials, vec![MaskedRun::from_entries(trials, entries)]);
             assert_eq!(flat.trials(), trials);
-            assert_eq!(flat.entry_count(), runs.entry_count());
-            let mut codes = std::collections::BTreeSet::new();
-            for t in 0..trials {
-                for group in runs.run(t).chunk_by(|a, b| a.0 == b.0) {
-                    let expect: Vec<SubjectId> = group.iter().map(|&(_, s)| s).collect();
-                    assert_eq!(lookup_trials(&flat, group[0].0)[t], expect, "T = {trials}");
-                    codes.insert(group[0].0);
-                }
+            assert_eq!(flat.entry_count(), banks.values().map(BTreeSet::len).sum());
+            for (&(t, code), subjects) in &banks {
+                let got = &lookup_trials(&flat, code)[t];
+                assert!(got.iter().eq(subjects), "T = {trials}");
             }
             // A code that is absent stays absent.
             assert!(lookup_trials(&flat, 0xDEAD_BEEF_0BAD_F00D)
                 .iter()
                 .all(Vec::is_empty));
+            let codes: BTreeSet<u64> = banks.keys().map(|&(_, code)| code).collect();
             assert_eq!(flat.key_count(), codes.len());
             assert!(flat.verify_postings().is_ok());
         }
     }
 
     #[test]
-    fn to_runs_and_reload_are_fixed_points() {
+    fn reload_is_a_fixed_point() {
         let runs = sample_runs(3, 10, 7);
         let flat = FlatTable::from_runs(3, vec![runs.clone()]);
-        assert_eq!(flat.to_runs(), runs);
+        assert_eq!(
+            (flat.key_count(), flat.posting_count(), flat.entry_count()),
+            (runs.key_count(), runs.posting_count(), runs.entry_count())
+        );
         let blob = flat.blob().to_vec();
         let loaded = FlatTable::from_source(Arc::new(blob.clone()), 0, 3).unwrap();
         assert_eq!(loaded.key_count(), flat.key_count());
         assert_eq!(loaded.posting_count(), flat.posting_count());
         assert_eq!(loaded.entry_count(), flat.entry_count());
-        assert_eq!(loaded.to_runs(), runs);
-        assert_eq!(
-            FlatTable::from_runs(3, vec![loaded.to_runs()]).blob(),
-            &blob[..]
-        );
+        assert_eq!(loaded.blob(), &blob[..]);
+        assert!(loaded.verify_postings().is_ok());
     }
 
     #[test]
@@ -885,39 +731,24 @@ mod tests {
 
     #[test]
     fn any_split_of_the_postings_writes_the_same_blob() {
-        let whole = sample_runs(3, 9, 31);
-        let expect = FlatTable::from_runs(3, vec![whole.clone()]).blob().to_vec();
-        // Deal the postings round-robin over four parts, overlapping one.
-        let mut parts = vec![vec![Vec::new(); 3]; 4];
-        for (t, run) in (0..3).map(|t| (t, whole.run(t))) {
-            for (i, &p) in run.iter().enumerate() {
-                parts[i % 4][t].push(p);
-                if i % 5 == 0 {
-                    parts[(i + 1) % 4][t].push(p);
-                }
+        let entries = sample_entries(3, 9, 31);
+        let expect = sample_blob(3, 9, 31);
+        // Deal the entries round-robin over four parts, overlapping some.
+        let mut parts = vec![Vec::new(); 4];
+        for (i, &e) in entries.iter().enumerate() {
+            parts[i % 4].push(e);
+            if i % 5 == 0 {
+                parts[(i + 1) % 4].push(e);
             }
         }
-        let parts: Vec<TrialRuns> = parts.into_iter().map(TrialRuns::from_unsorted).collect();
-        assert_eq!(FlatTable::from_runs(3, parts).blob(), &expect[..]);
-    }
-
-    #[test]
-    fn pairwise_merge_is_the_sorted_union_with_masks_ored() {
-        let a = vec![fused(1, 0, 1), fused(5, 2, 1), fused(9, 1, 1)];
-        let b = vec![fused(1, 0, 2), fused(2, 7, 2), fused(9, 3, 2)];
-        let c = vec![fused(0, 4, 4), fused(9, 1, 1)];
-        assert_eq!(
-            merge_pairwise(vec![a, Vec::new(), b, c]),
-            vec![
-                fused(0, 4, 4),
-                fused(1, 0, 3),
-                fused(2, 7, 2),
-                fused(5, 2, 1),
-                fused(9, 1, 1),
-                fused(9, 3, 2)
-            ]
-        );
-        assert!(merge_pairwise(Vec::new()).is_empty());
+        let parts: Vec<MaskedRun> = parts
+            .into_iter()
+            .map(|p| MaskedRun::from_entries(3, p))
+            .collect();
+        assert_eq!(FlatTable::from_runs(3, parts.clone()).blob(), &expect[..]);
+        let mut reversed = parts;
+        reversed.reverse();
+        assert_eq!(FlatTable::from_runs(3, reversed).blob(), &expect[..]);
     }
 
     #[test]
@@ -946,7 +777,7 @@ mod tests {
     fn max_subject_matches_table_contents() {
         let runs = sample_runs(3, 9, 13);
         let flat = FlatTable::from_runs(3, vec![runs.clone()]);
-        let expect = (0..3).flat_map(|t| runs.run(t)).map(|&(_, s)| s).max();
+        let expect = runs.iter().map(|(_, s, _)| s).max();
         assert_eq!(flat.max_subject(), expect);
     }
 
@@ -965,7 +796,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "runs T must match table T")]
     fn trial_count_mismatch_panics() {
-        FlatTable::from_runs(4, vec![TrialRuns::from_unsorted(vec![Vec::new(); 3])]);
+        FlatTable::from_runs(4, vec![MaskedRun::new(3)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! through several codes still counts that trial once — the per-trial
 //! deduplication the banked table needed a sort for.
 
-use crate::flat::{mask_words, trial_count};
+use crate::runs::{mask_words, trial_count};
 use crate::SubjectId;
 use std::cmp::Ordering;
 

@@ -7,10 +7,10 @@
 //!   `t`. It is a view over one word buffer — a bucket array plus a
 //!   contiguous posting arena, the JEMIDX v5 layout — that a build owns
 //!   and a load borrows, zero-copy, from a memory-mapped file.
-//! * [`runs`] — [`TrialRuns`], per-trial sorted `(code, subject)` runs:
-//!   how every table is built (sketch into runs, merge, write flat), and
-//!   the `u64` stream the distributed driver's gather step and the legacy
-//!   v3 format carry.
+//! * [`runs`] — [`MaskedRun`], code-keyed postings `(code, subject,
+//!   trial mask)` ascending by `(code, subject)`: how every table is built
+//!   (sketch a part into a run, merge, write flat), and the framed `u64`
+//!   stream the distributed driver's gather step carries.
 //! * [`builder`] — shared-memory parallel construction on one scoped
 //!   thread per core (sketch subjects in parallel into runs, merge,
 //!   write — the same local-sketch/global-merge shape as the distributed
@@ -41,6 +41,7 @@ pub use builder::build_table_with;
 pub use flat::{FlatError, FlatTable, ProbeScratch, WordSource};
 pub use hits::{rank_order, HitCounter, HitStats, LazyHitCounter, NaiveHitCounter};
 pub use runs::{
-    checksum_chain, checksum_words, fnv1a64, sketch_runs, DecodeError, Posting, TrialRuns,
+    checksum_chain, checksum_words, fnv1a64, mask_fits, mask_words, sketch_runs, trial_count,
+    DecodeError, MaskedRun,
 };
 pub use u64map::U64Map;

@@ -1,7 +1,7 @@
 //! Property-based tests for the index layer.
 
 use jem_index::{
-    FlatTable, HitCounter, LazyHitCounter, NaiveHitCounter, ProbeScratch, TrialRuns, U64Map,
+    FlatTable, HitCounter, LazyHitCounter, MaskedRun, NaiveHitCounter, ProbeScratch, U64Map,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -51,12 +51,14 @@ proptest! {
 
     #[test]
     fn runs_encode_decode_roundtrip(
-        entries in prop::collection::vec((0usize..4, 0u64..500, 0u32..60), 0..200),
+        trials in prop::sample::select(vec![1usize, 4, 32, 33, 64, 65]),
+        entries in prop::collection::vec((0usize..65, 0u64..500, 0u32..60), 0..200),
     ) {
-        let runs = runs_of(4, &entries);
-        let decoded = TrialRuns::decode(&runs.encode(), 4).unwrap();
-        prop_assert_eq!(&decoded, &runs);
-        prop_assert_eq!(TrialRuns::decode_framed(&runs.encode_framed(), 4).unwrap(), runs);
+        let entries: Vec<(usize, u64, u32)> =
+            entries.into_iter().map(|(t, c, s)| (t % trials, c, s)).collect();
+        let runs = runs_of(trials, &entries);
+        prop_assert_eq!(runs.entry_count(), reference(&entries).values().map(BTreeSet::len).sum::<usize>());
+        prop_assert_eq!(MaskedRun::decode_framed(&runs.encode_framed(), trials).unwrap(), runs);
     }
 
     #[test]
@@ -108,13 +110,9 @@ fn lookup(table: &FlatTable, t: usize, code: u64) -> Vec<u32> {
     out
 }
 
-/// Unsorted `(trial, code, subject)` entries as sorted runs.
-fn runs_of(trials: usize, entries: &[(usize, u64, u32)]) -> TrialRuns {
-    let mut per_trial = vec![Vec::new(); trials];
-    for &(t, code, subject) in entries {
-        per_trial[t].push((code, subject));
-    }
-    TrialRuns::from_unsorted(per_trial)
+/// Unsorted `(trial, code, subject)` entries as a run.
+fn runs_of(trials: usize, entries: &[(usize, u64, u32)]) -> MaskedRun {
+    MaskedRun::from_entries(trials, entries.iter().copied())
 }
 
 /// The naive table the flat one must match.

@@ -203,11 +203,11 @@ impl Client {
         self.map_segments_with_policy(segments, &policy)
     }
 
-    /// Ask a shard server for the per-trial collision *sets* of each
-    /// segment against its owned slot range ([`Request::MapPartial`]) —
+    /// Ask a shard server for each segment's colliding subjects with their
+    /// trial masks against its owned slot range ([`Request::MapPartial`]) —
     /// the gather half of the router's scatter-gather. Partials from
-    /// disjoint shard processes union into exactly the single-process
-    /// answer (see [`SegmentPartials`]).
+    /// disjoint shard processes OR into exactly the single-process answer
+    /// (see [`SegmentPartials`]).
     pub fn map_segments_partial(
         &self,
         segments: &[QuerySegment],

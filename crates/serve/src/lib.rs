@@ -30,9 +30,9 @@
 //! For deployments too big (or too failure-prone) for one process, the
 //! router tier ([`router`]) scatter-gathers each query across independent
 //! shard servers, each owning a slice of the slot space
-//! ([`ShardedIndex::with_slots`], [`registry::ShardRegistry`]): per-trial
-//! collision sets from disjoint slices union back into exactly the
-//! single-process answer ([`router::merge_partials`]). The router gates
+//! ([`ShardedIndex::with_slots`], [`registry::ShardRegistry`]): each
+//! colliding subject's trial masks from disjoint slices OR back into
+//! exactly the single-process answer ([`router::merge_partials`]). The router gates
 //! unhealthy shards behind per-shard circuit breakers, hedges stragglers
 //! to replicas, propagates deadline budgets, and — when shards are missing
 //! — answers [`Response::Degraded`] naming exactly which ids its answer

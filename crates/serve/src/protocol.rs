@@ -104,10 +104,10 @@ pub enum Request {
         /// Server-local filesystem path of the persisted index.
         path: String,
     },
-    /// Map a batch of segments but return the per-trial collision *sets*
-    /// instead of the argmax — the shard half of a router scatter-gather.
-    /// Per-trial sets from disjoint slot ranges union associatively, which
-    /// is what makes the router's merge byte-exact.
+    /// Map a batch of segments but return each colliding subject with its
+    /// trial mask instead of the argmax — the shard half of a router
+    /// scatter-gather. Masks from disjoint slot ranges OR associatively,
+    /// which is what makes the router's merge byte-exact.
     MapPartial {
         /// The segments to sketch and probe.
         segments: Vec<QuerySegment>,
@@ -173,26 +173,30 @@ pub enum Response {
     },
 }
 
-/// One segment's share of a shard's sketch-table probe: for every trial,
-/// the *deduplicated* set of subject ids whose sketch collided with the
-/// segment in that shard's slot range.
+/// One segment's share of a shard's sketch-table probe: every subject the
+/// segment collides with through codes in that shard's slot range, once,
+/// with the trial mask of those collisions.
 ///
-/// This is the largest unit that still merges exactly: per-trial sets from
-/// disjoint slot ranges union associatively and commutatively, and the
-/// lazy-counter argmax (max trial count, ties to the smaller subject id)
-/// is a pure function of the union — so a router can gather these from
-/// independent shard processes in any order and reproduce the
+/// This is the largest unit that still merges exactly: every code lives in
+/// one slot, so masks from disjoint slot ranges OR — associatively,
+/// commutatively, idempotently — into the masks the whole table yields,
+/// and the lazy-counter argmax (most trials, ties to the smaller subject
+/// id) is a pure function of the OR. A router can therefore gather these
+/// from independent shard processes in any order and reproduce the
 /// single-process answer byte for byte. Summed per-shard *counts* would
-/// not merge (one subject can collide with different codes of the same
-/// trial on different shards).
+/// not merge (one subject can collide on the same trial through different
+/// codes on different shards).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentPartials {
     /// Echo of the requested segment's read index.
     pub read_idx: u32,
     /// Echo of the requested segment's end.
     pub end: ReadEnd,
-    /// Per-trial deduplicated (sorted) subject-id collision sets.
-    pub trials: Vec<Vec<SubjectId>>,
+    /// The trial count `T` of the shard's index.
+    pub trials: usize,
+    /// Each colliding subject once, ascending, with its `⌈T/32⌉` trial-mask
+    /// words (bit `t % 32` of word `t / 32` is trial `t`).
+    pub hits: Vec<(SubjectId, Vec<u32>)>,
 }
 
 /// What a server tells clients about the index it serves.
@@ -231,9 +235,11 @@ const RESP_ERROR: u64 = 4;
 const RESP_SHUTTING_DOWN: u64 = 5;
 const RESP_EXPIRED: u64 = 6;
 const RESP_RELOADED: u64 = 7;
-const RESP_PARTIALS: u64 = 8;
+// Tag 8 carried per-trial collision sets and is retired: it decodes as an
+// unknown tag, so builds that disagree on the partials' shape fail loudly.
 const RESP_DEGRADED: u64 = 9;
 const RESP_THROTTLED: u64 = 10;
+const RESP_PARTIALS: u64 = 11;
 
 // --- body primitives ----------------------------------------------------
 
@@ -478,11 +484,13 @@ impl Response {
                 for p in partials {
                     put_u64(&mut body, u64::from(p.read_idx));
                     put_u64(&mut body, end_code(p.end));
-                    put_u64(&mut body, p.trials.len() as u64);
-                    for set in &p.trials {
-                        put_u64(&mut body, set.len() as u64);
-                        for &s in set {
-                            put_u64(&mut body, u64::from(s));
+                    put_u64(&mut body, p.trials as u64);
+                    put_u64(&mut body, p.hits.len() as u64);
+                    for (subject, mask) in &p.hits {
+                        put_u64(&mut body, u64::from(*subject));
+                        put_u64(&mut body, mask.len() as u64);
+                        for &word in mask {
+                            put_u64(&mut body, u64::from(word));
                         }
                     }
                 }
@@ -540,25 +548,29 @@ impl Response {
             RESP_MAPPINGS => Response::Mappings(read_mappings(&mut c, body.len())?),
             RESP_PARTIALS => {
                 let n = c.usize()?;
-                // Every partial costs at least three body words.
-                let mut partials = Vec::with_capacity(n.min(body.len() / 24 + 1));
+                // Every partial costs at least four body words, every hit
+                // two.
+                let mut partials = Vec::with_capacity(n.min(body.len() / 32 + 1));
                 for _ in 0..n {
                     let read_idx = c.u32("read_idx")?;
                     let end = decode_end(c.u64()?)?;
-                    let n_trials = c.usize()?;
-                    let mut trials = Vec::with_capacity(n_trials.min(body.len() / 8 + 1));
-                    for _ in 0..n_trials {
-                        let n_subjects = c.usize()?;
-                        let mut set = Vec::with_capacity(n_subjects.min(body.len() / 8 + 1));
-                        for _ in 0..n_subjects {
-                            set.push(c.u32("subject")?);
+                    let trials = c.usize()?;
+                    let n_hits = c.usize()?;
+                    let mut hits = Vec::with_capacity(n_hits.min(body.len() / 16 + 1));
+                    for _ in 0..n_hits {
+                        let subject = c.u32("subject")?;
+                        let words = c.usize()?;
+                        let mut mask = Vec::with_capacity(words.min(body.len() / 8 + 1));
+                        for _ in 0..words {
+                            mask.push(c.u32("mask word")?);
                         }
-                        trials.push(set);
+                        hits.push((subject, mask));
                     }
                     partials.push(SegmentPartials {
                         read_idx,
                         end,
                         trials,
+                        hits,
                     });
                 }
                 Response::Partials(partials)
@@ -859,12 +871,14 @@ mod tests {
             SegmentPartials {
                 read_idx: 2,
                 end: ReadEnd::Prefix,
-                trials: vec![vec![0, 3, 9], Vec::new(), vec![7]],
+                trials: 40,
+                hits: vec![(0, vec![0b101, 0]), (3, vec![0, 0xff]), (9, vec![1, 1])],
             },
             SegmentPartials {
                 read_idx: 2,
                 end: ReadEnd::Suffix,
-                trials: Vec::new(),
+                trials: 30,
+                hits: Vec::new(),
             },
         ]));
         roundtrip_response(Response::Degraded {
@@ -959,6 +973,17 @@ mod tests {
         let mut body = Vec::new();
         put_u64(&mut body, 999);
         assert!(Response::decode(&body).is_err());
+        // The retired per-trial partials tag: a well-formed old answer
+        // (one partial, one trial holding subject 4) is refused at its tag.
+        let mut body = Vec::new();
+        for word in [8u64, 1, 2, 0, 1, 1, 4] {
+            put_u64(&mut body, word);
+        }
+        let err = Response::decode(&body).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown response tag 8"),
+            "got: {err}"
+        );
         let mut body = Request::Ping.encode(&Envelope::default());
         let tag = body.len() - 8;
         body[tag..].copy_from_slice(&999u64.to_le_bytes());

@@ -1,6 +1,6 @@
 //! The scatter-gather router: a front-end that fans each query batch out
-//! to independent `jem serve` shard processes and merges their per-trial
-//! collision sets back into the single-process answer.
+//! to independent `jem serve` shard processes and merges their colliding
+//! subjects' trial masks back into the single-process answer.
 //!
 //! Architecture (DESIGN.md §13, §16):
 //!
@@ -43,13 +43,13 @@
 //!   success closes the breaker, failure reopens it with a longer
 //!   cooldown. A shard's hard failure also evicts its pooled
 //!   connections: a breaker-open endpoint never serves stale sockets.
-//! * **merge** — per-trial subject sets from disjoint slot ranges union
+//! * **merge** — a subject's trial masks from disjoint slot ranges OR
 //!   associatively and commutatively ([`merge_partials`]); the argmax over
-//!   the union reproduces the lazy counter's answer bit for bit, so a
+//!   the OR-ed masks reproduces the lazy counter's answer bit for bit, so a
 //!   fully-gathered query renders byte-identically to the single-process
 //!   TSV.
 //! * **degraded answers** — under [`Request::MapDegraded`], missing shards
-//!   shrink the union instead of failing the query: the reply is
+//!   shrink the merge instead of failing the query: the reply is
 //!   [`Response::Degraded`] carrying the merge of the survivors plus the
 //!   exact ids of the shards that are missing. A strict [`Request::Map`]
 //!   instead fails with a typed error naming the same ids. The chaos
@@ -70,9 +70,9 @@ use crate::registry::ShardRegistry;
 use crate::server::throttled;
 use crate::ServeError;
 use jem_core::{Mapping, QuerySegment};
-use jem_index::{rank_order, SubjectId};
+use jem_index::{mask_fits, mask_words, rank_order, trial_count, SubjectId};
 use jem_obs::{MetricsRecorder, Recorder, Snapshot, Span};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -881,13 +881,19 @@ fn answer(
         let lists: Vec<&Vec<SegmentPartials>> = present.iter().map(|(_, p)| p).collect();
         merge_partials(segments, &lists)
     };
+    // Every present shard passed validation alone, so a merge can only
+    // refuse shards that disagree with each other on T.
+    let refused = |e: ServeError| {
+        recorder.add("router.invalid_partials", 1);
+        Response::Error(e.to_string())
+    };
     if g.missing.is_empty() {
         return match merged(&g.present) {
             Ok(mappings) => {
                 recorder.add("router.full_answers", 1);
                 Response::Mappings(mappings)
             }
-            Err(e) => Response::Error(e.to_string()),
+            Err(e) => refused(e),
         };
     }
     if !allow_degraded {
@@ -918,14 +924,16 @@ fn answer(
                 missing: g.missing,
             }
         }
-        Err(e) => Response::Error(e.to_string()),
+        Err(e) => refused(e),
     }
 }
 
 /// Check that `partials` is a plausible shard answer for `segments`: one
-/// entry per segment, in order, echoing each segment's identity. A gather
-/// merges answers from independent processes — this is what stops a
-/// shard's (or a fault injector's) mismatched answer from aliasing into
+/// entry per segment, in order, echoing each segment's identity, all of
+/// one trial count `T`, and every hit's trial mask canonical — `⌈T/32⌉`
+/// words, not empty, no bit at or above `T` ([`jem_index::mask_fits`]). A
+/// gather merges answers from independent processes — this is what stops
+/// a shard's (or a fault injector's) mismatched answer from aliasing into
 /// another query's merge.
 pub fn validate_partials(
     segments: &[QuerySegment],
@@ -945,21 +953,46 @@ pub fn validate_partials(
                 p.read_idx, p.end, seg.read_idx, seg.end
             )));
         }
+        if let Some((subject, mask)) = p.hits.iter().find(|(_, m)| !mask_fits(m, p.trials)) {
+            return Err(ServeError::protocol(format!(
+                "shard partial for read {} {:?} gives subject {subject} a {}-word trial mask; \
+                 T = {} needs {} words, not all zero, with no bit at or above T",
+                p.read_idx,
+                p.end,
+                mask.len(),
+                p.trials,
+                mask_words(p.trials)
+            )));
+        }
     }
-    Ok(())
+    same_trials(partials.iter().map(|p| p.trials))
+}
+
+/// Refuse partials that disagree on the trial count `T`.
+fn same_trials(mut trials: impl Iterator<Item = usize>) -> Result<(), ServeError> {
+    let Some(first) = trials.next() else {
+        return Ok(());
+    };
+    match trials.find(|&t| t != first) {
+        Some(other) => Err(ServeError::protocol(format!(
+            "shard partials disagree on the trial count: T = {first} and T = {other}"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Merge per-shard [`SegmentPartials`] into final mappings, reproducing
 /// the lazy hit counter's argmax exactly.
 ///
-/// For each segment and trial, the shards' deduplicated subject sets are
-/// unioned (set union is associative, commutative, and idempotent — shard
-/// order and shard count cannot change the result); a subject's hit count
-/// is the number of trials whose union contains it; the winner is first
-/// under the one ranking rule, [`jem_index::rank_order`] (highest count,
-/// ties to the smallest subject id), which the single-process argmax also
-/// applies — so a full gather is byte-identical to its answer. Output is sorted in [`Mapping`]'s total
-/// order. Every shard's list must pass [`validate_partials`].
+/// For each segment, every shard's trial masks of a subject are OR-ed (OR
+/// is associative, commutative, and idempotent — shard order and shard
+/// count cannot change the result); a subject's hit count is its OR-ed
+/// mask's popcount; the winner is first under the one ranking rule,
+/// [`jem_index::rank_order`] (highest count, ties to the smallest subject
+/// id), which the single-process argmax also applies — so a full gather is
+/// byte-identical to its answer. Output is sorted in [`Mapping`]'s total
+/// order. Every shard's list must pass [`validate_partials`], and all
+/// shards must share one `T`.
 pub fn merge_partials<L: AsRef<[SegmentPartials]>>(
     segments: &[QuerySegment],
     per_shard: &[L],
@@ -967,30 +1000,35 @@ pub fn merge_partials<L: AsRef<[SegmentPartials]>>(
     for shard in per_shard {
         validate_partials(segments, shard.as_ref())?;
     }
+    same_trials(per_shard.iter().flat_map(AsRef::as_ref).map(|p| p.trials))?;
     let mut mappings = Vec::new();
-    let mut union: Vec<SubjectId> = Vec::new();
-    let mut counts: BTreeMap<SubjectId, u32> = BTreeMap::new();
+    let mut hits: Vec<(SubjectId, &[u32])> = Vec::new();
+    let mut mask: Vec<u32> = Vec::new();
     for (i, seg) in segments.iter().enumerate() {
-        counts.clear();
-        let trials = per_shard
-            .iter()
-            .map(|s| s.as_ref()[i].trials.len())
-            .max()
-            .unwrap_or(0);
-        for t in 0..trials {
-            union.clear();
-            for shard in per_shard {
-                if let Some(set) = shard.as_ref()[i].trials.get(t) {
-                    union.extend_from_slice(set);
+        hits.clear();
+        for shard in per_shard {
+            hits.extend(
+                shard.as_ref()[i]
+                    .hits
+                    .iter()
+                    .map(|(s, m)| (*s, m.as_slice())),
+            );
+        }
+        hits.sort_unstable_by_key(|&(s, _)| s);
+        let mut best: Option<(SubjectId, u32)> = None;
+        for group in hits.chunk_by(|a, b| a.0 == b.0) {
+            mask.clear();
+            mask.extend_from_slice(group[0].1);
+            for (_, m) in &group[1..] {
+                for (w, &x) in mask.iter_mut().zip(*m) {
+                    *w |= x;
                 }
             }
-            union.sort_unstable();
-            union.dedup();
-            for &s in &union {
-                *counts.entry(s).or_insert(0) += 1;
+            let hit = (group[0].0, trial_count(&mask));
+            if best.is_none_or(|b| rank_order(&hit, &b).is_lt()) {
+                best = Some(hit);
             }
         }
-        let best = counts.iter().map(|(&s, &c)| (s, c)).min_by(rank_order);
         if let Some((subject, hits)) = best {
             mappings.push(Mapping {
                 read_idx: seg.read_idx,
@@ -1049,11 +1087,28 @@ mod tests {
         }
     }
 
-    fn partial(read_idx: u32, end: ReadEnd, trials: Vec<Vec<SubjectId>>) -> SegmentPartials {
+    /// A partial over `trials` trials, each hit given as its trial list.
+    fn partial(
+        read_idx: u32,
+        end: ReadEnd,
+        trials: usize,
+        hits: &[(SubjectId, &[usize])],
+    ) -> SegmentPartials {
+        let hits = hits
+            .iter()
+            .map(|&(s, ts)| {
+                let mut mask = vec![0u32; jem_index::mask_words(trials)];
+                for &t in ts {
+                    mask[t / 32] |= 1 << (t % 32);
+                }
+                (s, mask)
+            })
+            .collect();
         SegmentPartials {
             read_idx,
             end,
             trials,
+            hits,
         }
     }
 
@@ -1085,7 +1140,8 @@ mod tests {
         let shards = vec![vec![partial(
             0,
             ReadEnd::Prefix,
-            vec![vec![9], vec![2, 9], vec![2]],
+            3,
+            &[(2, &[1, 2]), (9, &[0, 1])],
         )]];
         let merged = merge_partials(&segments, &shards).unwrap();
         assert_eq!(
@@ -1101,7 +1157,8 @@ mod tests {
         let shards = vec![vec![partial(
             0,
             ReadEnd::Prefix,
-            vec![vec![0, 7], vec![7], vec![7]],
+            3,
+            &[(0, &[0]), (7, &[0, 1, 2])],
         )]];
         let merged = merge_partials(&segments, &shards).unwrap();
         assert_eq!(merged[0].subject, 7);
@@ -1109,12 +1166,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_across_shards_without_double_counting() {
+    fn merge_ors_masks_across_shards_without_double_counting() {
         let segments = vec![seg(3, ReadEnd::Suffix)];
         // Subject 5 collides with *different codes of the same trial* on
-        // two different shards: the union must count that trial once.
-        let a = vec![partial(3, ReadEnd::Suffix, vec![vec![5], vec![]])];
-        let b = vec![partial(3, ReadEnd::Suffix, vec![vec![5], vec![5]])];
+        // two different shards: the OR must count that trial once.
+        let a = vec![partial(3, ReadEnd::Suffix, 40, &[(5, &[0])])];
+        let b = vec![partial(3, ReadEnd::Suffix, 40, &[(5, &[0, 33])])];
         let merged = merge_partials(&segments, &[a.clone(), b.clone()]).unwrap();
         assert_eq!(merged[0].hits, 2, "trial 0 must count once, not twice");
         // Order independence: any shard permutation merges identically.
@@ -1126,8 +1183,8 @@ mod tests {
     fn merge_with_no_collisions_maps_nothing() {
         let segments = vec![seg(0, ReadEnd::Prefix), seg(0, ReadEnd::Suffix)];
         let shards = vec![vec![
-            partial(0, ReadEnd::Prefix, vec![Vec::new(); 4]),
-            partial(0, ReadEnd::Suffix, vec![Vec::new(); 4]),
+            partial(0, ReadEnd::Prefix, 4, &[]),
+            partial(0, ReadEnd::Suffix, 4, &[]),
         ]];
         assert!(merge_partials(&segments, &shards).unwrap().is_empty());
         let none: Vec<Vec<SegmentPartials>> = Vec::new();
@@ -1138,14 +1195,52 @@ mod tests {
     fn mismatched_echoes_refuse_to_merge() {
         let segments = vec![seg(1, ReadEnd::Prefix)];
         // Wrong read index.
-        let wrong_read = vec![partial(2, ReadEnd::Prefix, vec![vec![1]])];
+        let wrong_read = vec![partial(2, ReadEnd::Prefix, 1, &[(1, &[0])])];
         assert!(merge_partials(&segments, &[wrong_read]).is_err());
         // Wrong end.
-        let wrong_end = vec![partial(1, ReadEnd::Suffix, vec![vec![1]])];
+        let wrong_end = vec![partial(1, ReadEnd::Suffix, 1, &[(1, &[0])])];
         assert!(merge_partials(&segments, &[wrong_end]).is_err());
         // Wrong count.
         let wrong_len: Vec<SegmentPartials> = Vec::new();
         assert!(merge_partials(&segments, &[wrong_len]).is_err());
+    }
+
+    #[test]
+    fn malformed_masks_and_trial_counts_refuse_to_merge() {
+        let segments = vec![seg(1, ReadEnd::Prefix), seg(1, ReadEnd::Suffix)];
+        let good = vec![
+            partial(1, ReadEnd::Prefix, 33, &[(4, &[32])]),
+            partial(1, ReadEnd::Suffix, 33, &[(2, &[0, 5])]),
+        ];
+        assert!(validate_partials(&segments, &good).is_ok());
+        let mut cases: Vec<(&str, Vec<SegmentPartials>)> = Vec::new();
+        let mut narrow = good.clone();
+        narrow[0].hits[0].1.pop();
+        cases.push(("a one-word mask at T = 33", narrow));
+        let mut wide = good.clone();
+        wide[1].hits[0].1.push(0);
+        cases.push(("a three-word mask at T = 33", wide));
+        let mut past_t = good.clone();
+        past_t[0].hits[0].1[1] |= 1 << 1;
+        cases.push(("bit 33 at T = 33", past_t));
+        let mut empty = good.clone();
+        empty[1].hits[0].1 = vec![0, 0];
+        cases.push(("an empty mask", empty));
+        let mut mixed = good.clone();
+        mixed[1].trials = 34;
+        cases.push(("two trial counts in one answer", mixed));
+        for (what, shard) in cases {
+            assert!(validate_partials(&segments, &shard).is_err(), "{what}");
+            assert!(merge_partials(&segments, &[shard]).is_err(), "{what}");
+        }
+        // Each shard is valid alone, but the two disagree on T.
+        let other = vec![
+            partial(1, ReadEnd::Prefix, 34, &[(4, &[33])]),
+            partial(1, ReadEnd::Suffix, 34, &[]),
+        ];
+        assert!(validate_partials(&segments, &other).is_ok());
+        let err = merge_partials(&segments, &[good, other]).unwrap_err();
+        assert!(err.to_string().contains("disagree"), "{err}");
     }
 
     #[test]

@@ -149,9 +149,9 @@ impl ServerConfig {
     }
 }
 
-/// What a queued job answers with: final mappings (`Map`) or per-trial
-/// collision sets against this server's owned slot range (`MapPartial`,
-/// the gather half of the router's scatter-gather).
+/// What a queued job answers with: final mappings (`Map`) or each
+/// colliding subject's trial mask against this server's owned slot range
+/// (`MapPartial`, the gather half of the router's scatter-gather).
 enum JobKind {
     Map,
     Partial,
@@ -658,7 +658,8 @@ fn worker_loop(shared: &Shared) {
                         .map(|seg| SegmentPartials {
                             read_idx: seg.read_idx,
                             end: seg.end,
-                            trials: index.segment_partials_with(&seg.seq, &mut scratch),
+                            trials: index.mapper().config().trials,
+                            hits: index.segment_partials_with(&seg.seq, &mut scratch),
                         })
                         .collect(),
                 ),

@@ -28,8 +28,8 @@ use std::ops::Range;
 /// A full index owns every slot of the partition (`new`); a router-tier
 /// shard process owns only a sub-range of the global slot space
 /// (`with_slots`) — codes hashing outside the owned range are simply not
-/// probed, which is exactly the per-trial partial set the router's merge
-/// unions back together. Workers map through
+/// probed, which is exactly the partial trial mask the router's merge ORs
+/// back together. Workers map through
 /// [`JemMapper::map_batch`] with [`ShardedIndex::filter`].
 #[derive(Clone, Debug)]
 pub struct ShardedIndex {
@@ -104,20 +104,19 @@ impl ShardedIndex {
         self.mapper.new_counter()
     }
 
-    /// The per-trial collision sets of one segment against this index's
-    /// owned slots — the shard half of a router scatter-gather, read off
-    /// the probe kernel's trial masks ([`JemMapper::segment_partials`]).
+    /// Every subject one segment collides with through this index's owned
+    /// slots, ascending, with the trial mask of those collisions — the
+    /// shard half of a router scatter-gather
+    /// ([`JemMapper::segment_partials`]).
     ///
-    /// Each returned inner vector is the sorted set of subjects colliding
-    /// with the segment in that trial through codes this index owns.
-    /// Because every code lives in exactly one slot, the per-trial sets of
-    /// disjoint slot ranges union into exactly the sets the full index
-    /// produces — the argmax over the union is the single-process answer.
+    /// Because every code lives in exactly one slot, the masks of disjoint
+    /// slot ranges OR into exactly the masks the full index produces — the
+    /// argmax over the OR is the single-process answer.
     pub fn segment_partials_with(
         &self,
         seg: &[u8],
         scratch: &mut MapScratch,
-    ) -> Vec<Vec<SubjectId>> {
+    ) -> Vec<(SubjectId, Vec<u32>)> {
         self.mapper.segment_partials(seg, &self.filter, scratch)
     }
 }
@@ -148,30 +147,31 @@ mod tests {
         out
     }
 
-    /// The naive per-trial collision sets of `seg`: subject `s` is in set
-    /// `t` iff its trial-`t` sketch shares a code with the segment's.
-    fn naive_sets(mapper: &JemMapper, subjects: &[Vec<u8>], seg: &[u8]) -> Vec<Vec<SubjectId>> {
+    /// The naive collision masks of `seg`: bit `t` of subject `s`'s mask is
+    /// set iff its trial-`t` sketch shares a code with the segment's
+    /// (Algorithm 1's per-trial sets, intersected per trial).
+    fn naive_masks(
+        mapper: &JemMapper,
+        subjects: &[Vec<u8>],
+        seg: &[u8],
+    ) -> Vec<(SubjectId, Vec<u32>)> {
         let trials = mapper.config().trials;
-        let mut bank: Vec<BTreeMap<u64, BTreeSet<SubjectId>>> = vec![BTreeMap::new(); trials];
+        let query = mapper.sketch_segment(seg);
+        let mut out = Vec::new();
         for (s, seq) in subjects.iter().enumerate() {
-            for (t, codes) in mapper.sketch_segment(seq).per_trial.iter().enumerate() {
-                for &code in codes {
-                    bank[t].entry(code).or_default().insert(s as SubjectId);
+            let sketch = mapper.sketch_segment(seq);
+            let mut mask = vec![0u32; jem_index::mask_words(trials)];
+            for t in 0..trials {
+                let bank: BTreeSet<u64> = sketch.per_trial[t].iter().copied().collect();
+                if query.per_trial[t].iter().any(|c| bank.contains(c)) {
+                    mask[t / 32] |= 1 << (t % 32);
                 }
             }
+            if mask.iter().any(|&w| w != 0) {
+                out.push((s as SubjectId, mask));
+            }
         }
-        let query = mapper.sketch_segment(seg);
-        (0..trials)
-            .map(|t| {
-                let hit: BTreeSet<SubjectId> = query.per_trial[t]
-                    .iter()
-                    .filter_map(|code| bank[t].get(code))
-                    .flatten()
-                    .copied()
-                    .collect();
-                hit.into_iter().collect()
-            })
-            .collect()
+        out
     }
 
     /// Six random 4 kb subjects.
@@ -191,6 +191,10 @@ mod tests {
     }
 
     fn world() -> (JemMapper, Vec<SeqRecord>) {
+        world_with(8)
+    }
+
+    fn world_with(trials: usize) -> (JemMapper, Vec<SeqRecord>) {
         let subjects: Vec<SeqRecord> = world_subjects()
             .into_iter()
             .enumerate()
@@ -199,7 +203,7 @@ mod tests {
         let config = MapperConfig {
             k: 12,
             w: 8,
-            trials: 8,
+            trials,
             ell: 300,
             seed: 5,
         };
@@ -302,44 +306,72 @@ mod tests {
         }
     }
 
-    /// Per-trial partial sets from disjoint pieces union into exactly the
-    /// full index's sets, and those are the naive per-trial intersections
-    /// — the algebraic fact the router's merge rests on. An empty piece
-    /// contributes empty sets and changes nothing.
+    /// Partial masks from disjoint pieces OR into exactly the full index's
+    /// masks, those are the naive per-trial intersections, and the router's
+    /// merge of the pieces is the offline best hit — the algebraic fact the
+    /// router rests on — at every mask-word edge of `T`. An empty piece
+    /// contributes nothing and changes nothing.
     #[test]
     fn partials_from_pieces_union_to_the_full_sets() {
-        let (mapper, reads) = world();
         let subjects: Vec<Vec<u8>> = world_subjects();
-        let segments = make_segments(&reads, mapper.config().ell);
-        let n_slots = 8usize;
-        let full = ShardedIndex::new(mapper.clone(), n_slots);
-        let pieces: Vec<ShardedIndex> = [0..2, 2..3, 3..8]
-            .into_iter()
-            .map(|r| ShardedIndex::with_slots(mapper.clone(), n_slots, r))
-            .collect();
-        let mut scratch = MapScratch::new();
-        let mut nonempty_partial_seen = false;
-        for seg in &segments {
-            let expected = full.segment_partials_with(&seg.seq, &mut scratch);
-            assert_eq!(expected, naive_sets(&mapper, &subjects, &seg.seq));
-            let mut union: Vec<Vec<SubjectId>> = vec![Vec::new(); expected.len()];
-            for piece in &pieces {
-                let part = piece.segment_partials_with(&seg.seq, &mut scratch);
-                assert_eq!(part.len(), expected.len());
-                nonempty_partial_seen |= part.iter().any(|set| !set.is_empty());
-                for (t, set) in part.into_iter().enumerate() {
-                    union[t].extend(set);
+        for trials in [1, 31, 32, 33, 65] {
+            let (mapper, reads) = world_with(trials);
+            let segments = make_segments(&reads, mapper.config().ell);
+            let n_slots = 8usize;
+            let full = ShardedIndex::new(mapper.clone(), n_slots);
+            let pieces: Vec<ShardedIndex> = [0..2, 2..3, 3..8]
+                .into_iter()
+                .map(|r| ShardedIndex::with_slots(mapper.clone(), n_slots, r))
+                .collect();
+            let mut scratch = MapScratch::new();
+            let mut counter = mapper.new_counter();
+            let mut nonempty_partial_seen = false;
+            for (qid, seg) in segments.iter().enumerate() {
+                let expected = full.segment_partials_with(&seg.seq, &mut scratch);
+                assert_eq!(
+                    expected,
+                    naive_masks(&mapper, &subjects, &seg.seq),
+                    "T = {trials}"
+                );
+                let mut union: BTreeMap<SubjectId, Vec<u32>> = BTreeMap::new();
+                let mut per_piece = Vec::new();
+                for piece in &pieces {
+                    let hits = piece.segment_partials_with(&seg.seq, &mut scratch);
+                    assert!(hits.windows(2).all(|w| w[0].0 < w[1].0));
+                    nonempty_partial_seen |= !hits.is_empty();
+                    for (s, mask) in &hits {
+                        let or = union.entry(*s).or_insert_with(|| vec![0; mask.len()]);
+                        for (o, &m) in or.iter_mut().zip(mask) {
+                            *o |= m;
+                        }
+                    }
+                    per_piece.push(vec![crate::SegmentPartials {
+                        read_idx: seg.read_idx,
+                        end: seg.end,
+                        trials,
+                        hits,
+                    }]);
                 }
+                let union: Vec<(SubjectId, Vec<u32>)> = union.into_iter().collect();
+                assert_eq!(union, expected, "T = {trials}, read {}", seg.read_idx);
+                let merged = crate::merge_partials(std::slice::from_ref(seg), &per_piece).unwrap();
+                let best =
+                    mapper.map_segment_with(&seg.seq, qid as u64, &mut counter, &mut scratch);
+                let offline: Vec<Mapping> = best
+                    .map(|(subject, hits)| Mapping {
+                        read_idx: seg.read_idx,
+                        end: seg.end,
+                        subject,
+                        hits,
+                    })
+                    .into_iter()
+                    .collect();
+                assert_eq!(merged, offline, "T = {trials}, read {}", seg.read_idx);
             }
-            for set in &mut union {
-                set.sort_unstable();
-                set.dedup();
-            }
-            assert_eq!(union, expected, "read {}", seg.read_idx);
+            assert!(
+                nonempty_partial_seen,
+                "world too small: no piece ever produced a collision"
+            );
         }
-        assert!(
-            nonempty_partial_seen,
-            "world too small: no piece ever produced a collision"
-        );
     }
 }

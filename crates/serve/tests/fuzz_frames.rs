@@ -10,11 +10,13 @@
 //! revision's in at least two bits.
 
 use jem_core::{QuerySegment, ReadEnd};
+use jem_index::{mask_words, SubjectId};
 use jem_serve::{
     merge_partials, read_frame, validate_partials, write_frame, Envelope, Request, Response,
     SegmentPartials,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn end_of(suffix: bool) -> ReadEnd {
     if suffix {
@@ -30,6 +32,30 @@ fn mk_segments(segs: Vec<(u32, bool, Vec<u8>)>) -> Vec<QuerySegment> {
             read_idx,
             end: end_of(suffix),
             seq,
+        })
+        .collect()
+}
+
+/// Canonical hits over `trials` trials from `(subject, trial)` pairs:
+/// each subject once, ascending, its mask the OR of its trials.
+fn hits_of(trials: usize, pairs: &[(u32, usize)]) -> Vec<(SubjectId, Vec<u32>)> {
+    let mut masks: BTreeMap<SubjectId, Vec<u32>> = BTreeMap::new();
+    for &(s, t) in pairs {
+        let t = t % trials;
+        masks
+            .entry(s)
+            .or_insert_with(|| vec![0; mask_words(trials)])[t / 32] |= 1 << (t % 32);
+    }
+    masks.into_iter().collect()
+}
+
+fn segments_of(idents: &[(u32, bool)]) -> Vec<QuerySegment> {
+    idents
+        .iter()
+        .map(|&(read_idx, suffix)| QuerySegment {
+            read_idx,
+            end: end_of(suffix),
+            seq: Vec::new(),
         })
         .collect()
 }
@@ -180,7 +206,8 @@ proptest! {
             (
                 0u32..1000,
                 any::<bool>(),
-                prop::collection::vec(prop::collection::vec(0u32..50, 0..5), 0..4),
+                1usize..97,
+                prop::collection::vec((0u32..50, prop::collection::vec(any::<u32>(), 3..4)), 0..5),
             ),
             0..4,
         ),
@@ -189,19 +216,19 @@ proptest! {
     ) {
         // The router's gather decodes `Partials` responses from shard
         // processes it does not control: a damaged response must error or
-        // decode to exactly the original — never to different collision
-        // sets that would alias into a merge.
+        // decode to exactly the original — never to different masks that
+        // would alias into a merge. Masks span one to three words.
         let partials: Vec<SegmentPartials> = segs
             .into_iter()
-            .map(|(read_idx, suffix, trials)| SegmentPartials {
+            .map(|(read_idx, suffix, trials, hits)| SegmentPartials {
                 read_idx,
                 end: end_of(suffix),
-                trials: trials
+                trials,
+                hits: hits
                     .into_iter()
-                    .map(|mut t| {
-                        t.sort_unstable();
-                        t.dedup();
-                        t
+                    .map(|(s, mut mask)| {
+                        mask.truncate(mask_words(trials));
+                        (s, mask)
                     })
                     .collect(),
             })
@@ -209,6 +236,8 @@ proptest! {
         let resp = Response::Partials(partials);
         let mut wire = Vec::new();
         write_frame(&mut wire, &resp.encode()).unwrap();
+        let mut cursor = wire.as_slice();
+        prop_assert_eq!(Response::decode(&read_frame(&mut cursor).unwrap()).unwrap(), resp.clone());
 
         let mut damaged = wire.clone();
         let bit = bit % (damaged.len() * 8);
@@ -232,24 +261,18 @@ proptest! {
     #[test]
     fn merge_is_shard_order_and_duplication_independent(
         idents in prop::collection::vec((0u32..1000, any::<bool>()), 1..4),
-        shard_trials in prop::collection::vec(
-            prop::collection::vec(prop::collection::vec(0u32..30, 0..6), 0..5),
+        trials in 1usize..97,
+        shard_hits in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec((0u32..30, 0usize..96), 0..6), 0..5),
             1..4,
         ),
         rot in 0usize..4,
     ) {
-        // Set union is associative, commutative, and idempotent, so the
-        // merged mappings cannot depend on shard order — and repeating a
-        // shard's answer must change nothing.
-        let segments: Vec<QuerySegment> = idents
-            .iter()
-            .map(|&(read_idx, suffix)| QuerySegment {
-                read_idx,
-                end: end_of(suffix),
-                seq: Vec::new(),
-            })
-            .collect();
-        let shards: Vec<Vec<SegmentPartials>> = shard_trials
+        // OR is associative, commutative, and idempotent, so the merged
+        // mappings cannot depend on shard order — and repeating a shard's
+        // answer must change nothing.
+        let segments = segments_of(&idents);
+        let shards: Vec<Vec<SegmentPartials>> = shard_hits
             .iter()
             .map(|per_seg| {
                 idents
@@ -258,13 +281,8 @@ proptest! {
                     .map(|(j, &(read_idx, suffix))| SegmentPartials {
                         read_idx,
                         end: end_of(suffix),
-                        trials: per_seg
-                            .get(j)
-                            .cloned()
-                            .unwrap_or_default()
-                            .into_iter()
-                            .map(|s| vec![s])
-                            .collect(),
+                        trials,
+                        hits: hits_of(trials, per_seg.get(j).map_or(&[], Vec::as_slice)),
                     })
                     .collect()
             })
@@ -292,20 +310,14 @@ proptest! {
     ) {
         // A shard (or a fault injector) echoing the wrong segment identity
         // must be refused by validation, never silently merged.
-        let segments: Vec<QuerySegment> = idents
-            .iter()
-            .map(|&(read_idx, suffix)| QuerySegment {
-                read_idx,
-                end: end_of(suffix),
-                seq: Vec::new(),
-            })
-            .collect();
+        let segments = segments_of(&idents);
         let shard: Vec<SegmentPartials> = idents
             .iter()
             .map(|&(read_idx, suffix)| SegmentPartials {
                 read_idx,
                 end: end_of(suffix),
-                trials: vec![vec![read_idx % 7]],
+                trials: 1,
+                hits: vec![(read_idx % 7, vec![1])],
             })
             .collect();
         prop_assert!(validate_partials(&segments, &shard).is_ok());
@@ -324,5 +336,64 @@ proptest! {
         let mut wrong_len = shard;
         wrong_len.pop();
         prop_assert!(merge_partials(&segments, &[wrong_len]).is_err());
+    }
+
+    #[test]
+    fn malformed_masks_and_retired_answers_are_refused(
+        idents in prop::collection::vec((0u32..1000, any::<bool>()), 1..4),
+        trials in 1usize..97,
+        pairs in prop::collection::vec((0u32..30, 0usize..96), 1..8),
+        which in 0usize..4,
+        other_trials in 1usize..97,
+    ) {
+        // What a shard of another build, or a damaged one, could answer:
+        // a mask of the wrong width, a bit at or above T, shards that
+        // disagree on T, or the retired per-trial tag. None may merge.
+        let segments = segments_of(&idents);
+        let shard: Vec<SegmentPartials> = idents
+            .iter()
+            .map(|&(read_idx, suffix)| SegmentPartials {
+                read_idx,
+                end: end_of(suffix),
+                trials,
+                hits: hits_of(trials, &pairs),
+            })
+            .collect();
+        prop_assert!(validate_partials(&segments, &shard).is_ok());
+        let j = which % shard.len();
+
+        let mut narrow = shard.clone();
+        narrow[j].hits[0].1.pop();
+        prop_assert!(validate_partials(&segments, &narrow).is_err(), "narrow mask");
+        let mut wide = shard.clone();
+        wide[j].hits[0].1.push(0);
+        prop_assert!(validate_partials(&segments, &wide).is_err(), "wide mask");
+
+        let mut past_t = shard.clone();
+        let w = mask_words(trials);
+        if trials % 32 == 0 {
+            past_t[j].hits[0].1.push(1);
+        } else {
+            past_t[j].hits[0].1[w - 1] |= 1 << (trials % 32);
+        }
+        prop_assert!(validate_partials(&segments, &past_t).is_err(), "bit at T");
+        prop_assert!(merge_partials(&segments, &[past_t]).is_err());
+
+        let other: Vec<SegmentPartials> = shard
+            .iter()
+            .map(|p| SegmentPartials {
+                trials: other_trials,
+                hits: hits_of(other_trials, &pairs),
+                ..p.clone()
+            })
+            .collect();
+        prop_assert!(validate_partials(&segments, &other).is_ok());
+        let mixed = merge_partials(&segments, &[shard.clone(), other]);
+        prop_assert_eq!(mixed.is_err(), other_trials != trials, "T mismatch across shards");
+
+        let mut retired = Response::Partials(shard).encode();
+        retired[..8].copy_from_slice(&8u64.to_le_bytes());
+        let err = Response::decode(&retired).unwrap_err();
+        prop_assert!(err.to_string().contains("unknown response tag 8"), "{}", err);
     }
 }

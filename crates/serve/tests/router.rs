@@ -433,7 +433,8 @@ fn envelope_recording_shard() -> (String, mpsc::Receiver<Envelope>) {
                         .map(|seg| SegmentPartials {
                             read_idx: seg.read_idx,
                             end: seg.end,
-                            trials: Vec::new(),
+                            trials: 1,
+                            hits: Vec::new(),
                         })
                         .collect();
                     if tx.send(envelope).is_err()

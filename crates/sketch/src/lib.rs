@@ -17,9 +17,10 @@
 //! * [`jem`] — the minimizer-based Jaccard estimator sketch, Algorithm 1:
 //!   intervals of length ℓ slid over the minimizer list, `T` MinHashes per
 //!   interval.
-//! * [`masked`] — the query side's code-keyed form of that sketch: each
-//!   distinct code once with its trial mask, from one backward pass when
-//!   the position list spans at most ℓ (every end segment).
+//! * [`masked`] — the code-keyed form of that sketch that subjects and
+//!   queries share: each distinct code once with its trial mask, from one
+//!   backward pass when the position list spans at most ℓ (every end
+//!   segment).
 //! * [`jaccard`] — exact Jaccard, the minimizer Jaccard estimate
 //!   `J_m(A,B;w) = J(M(A,w), M(B,w))`, and MinHash collision estimators.
 
@@ -46,5 +47,5 @@ pub use minhash::{classic_minhash_seq, classic_minhash_set, ClassicSketch};
 pub use minimizer::{
     minimizers, minimizers_into, minimizers_naive, Minimizer, MinimizerParams, WinnowScratch,
 };
-pub use scheme::{sketch_by_scheme, sketch_by_scheme_into, SketchScheme};
+pub use scheme::{sketch_by_scheme, SketchScheme};
 pub use syncmer::{closed_syncmers, closed_syncmers_into, is_closed_syncmer, SyncmerParams};

@@ -1,9 +1,11 @@
-//! Code-keyed query sketches: each distinct code once, with its trial mask.
+//! Code-keyed sketches: each distinct code once, with its trial mask.
 //!
-//! The probe kernel looks every distinct query code up once and ANDs the
-//! query's trial mask with each posting's, so a query sketch is wanted in
-//! that shape: [`MaskedSketch`] holds each code the JEM sketch selects with
-//! the `⌈T/32⌉` mask words of the trials that select it.
+//! The sketch table stores each `(code, subject)` pair once with a trial
+//! mask, and the probe kernel looks every distinct query code up once and
+//! ANDs the query's trial mask with each posting's, so subjects and
+//! queries alike are wanted in that shape: [`MaskedSketch`] holds each code
+//! the JEM sketch selects with the `⌈T/32⌉` mask words of the trials that
+//! select it.
 //!
 //! [`sketch_masked_into`] fills one from a sequence. It winnows once, then
 //! picks the selection by the span of the position list:
@@ -18,7 +20,8 @@
 //!   then fused by code.
 //!
 //! Both are exact: they produce the same `(code, mask)` pairs, in
-//! different orders. Subjects keep the general kernel's per-trial form.
+//! different orders. Subjects (index build, S2) and queries share this
+//! entry point; contigs longer than ℓ take the general kernel.
 
 use crate::hash::{HashFamily, MERSENNE_P61};
 use crate::jem::{select_into, SelectScratch, SketchScratch};

@@ -6,7 +6,7 @@
 //! minimizers, or closed syncmers (the quality-oriented alternative
 //! implementing the paper's future-work item i).
 
-use crate::jem::{select_into, sketch_minimizer_list, JemSketch, SketchScratch};
+use crate::jem::{sketch_minimizer_list, JemSketch};
 use crate::minimizer::{minimizers, minimizers_into, Minimizer, MinimizerParams, WinnowScratch};
 use crate::syncmer::{closed_syncmers, closed_syncmers_into, SyncmerParams};
 use crate::HashFamily;
@@ -93,27 +93,6 @@ pub fn sketch_by_scheme(
     family: &HashFamily,
 ) -> JemSketch {
     sketch_minimizer_list(&scheme.extract(seq, k), ell, family)
-}
-
-/// Allocation-free variant of [`sketch_by_scheme`]: reuses `scratch` and
-/// overwrites `out`. Byte-identical to [`sketch_by_scheme`] on every input.
-pub fn sketch_by_scheme_into(
-    seq: &[u8],
-    k: usize,
-    scheme: SketchScheme,
-    ell: usize,
-    family: &HashFamily,
-    scratch: &mut SketchScratch,
-    out: &mut JemSketch,
-) {
-    let SketchScratch {
-        mins,
-        winnow,
-        select,
-        ..
-    } = scratch;
-    scheme.extract_into(seq, k, winnow, mins);
-    select_into(mins, ell, family, select, out);
 }
 
 #[cfg(test)]
