@@ -24,6 +24,12 @@
 //! [`AnchorPipeline`] fuses both stages off one sketch pass per segment;
 //! its `mappings` output is byte-identical to the legacy stage-1 drivers,
 //! so coordinate output is strictly additive.
+//!
+//! The same [`Refiner`] takes the role Minimap2 plays in the paper's
+//! benchmark construction (Fig. 4): built over the reference records,
+//! with [`RefineParams::top_candidates`] set to their count, and asked
+//! [`Refiner::refine_segment`] with every record as a candidate, it places
+//! a contig or read on the reference with its strand and target span.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

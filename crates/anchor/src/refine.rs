@@ -429,6 +429,87 @@ mod tests {
     }
 
     #[test]
+    fn contig_scale_queries_place_on_both_strands() {
+        let reference = rng_seq(30_000, 71);
+        let r = refiner(vec![SeqRecord::new("ref", reference.clone())]);
+        let mut scratch = RefineScratch::new();
+        let mut stats = RefineStats::default();
+        let fwd = r
+            .refine_segment(
+                &reference[5_000..7_000],
+                &[(0, 0)],
+                &mut scratch,
+                &mut stats,
+            )
+            .expect("forward query must place");
+        assert!(!fwd.reverse);
+        assert!((fwd.t_start as i64 - 5_000).abs() < 100, "{fwd:?}");
+        assert!((fwd.t_end as i64 - 7_000).abs() < 100, "{fwd:?}");
+        assert!(fwd.n_anchors > 10);
+        let rev_query = revcomp_bytes(&reference[12_000..13_500]);
+        let rev = r
+            .refine_segment(&rev_query, &[(0, 0)], &mut scratch, &mut stats)
+            .expect("reverse query must place");
+        assert!(rev.reverse);
+        assert!((rev.t_start as i64 - 12_000).abs() < 100, "{rev:?}");
+        assert!((rev.t_end as i64 - 13_500).abs() < 100, "{rev:?}");
+    }
+
+    #[test]
+    fn chain_survives_scattered_substitutions() {
+        let reference = rng_seq(30_000, 73);
+        let mut query = reference[8_000..9_500].to_vec();
+        // 2 % substitutions break some anchors; chaining bridges them.
+        for i in (0..query.len()).step_by(50) {
+            query[i] = match query[i] {
+                b'A' => b'C',
+                b'C' => b'G',
+                b'G' => b'T',
+                _ => b'A',
+            };
+        }
+        let r = refiner(vec![SeqRecord::new("ref", reference)]);
+        let p = r
+            .refine_segment(
+                &query,
+                &[(0, 0)],
+                &mut RefineScratch::new(),
+                &mut RefineStats::default(),
+            )
+            .expect("must still place");
+        assert!(!p.reverse);
+        assert!((p.t_start as i64 - 8_000).abs() < 200, "{p:?}");
+        assert!((p.t_end as i64 - 9_500).abs() < 200, "{p:?}");
+    }
+
+    #[test]
+    fn blocks_far_apart_on_the_target_do_not_chain() {
+        // Two 1 kb blocks 9 kb apart on the reference, joined by 200
+        // unrelated bases: the query-length window cannot span both, so
+        // the placement covers one block.
+        let reference = rng_seq(30_000, 79);
+        let mut query = reference[1_000..2_000].to_vec();
+        query.extend_from_slice(&rng_seq(200, 555));
+        query.extend_from_slice(&reference[10_000..11_000]);
+        let r = refiner(vec![SeqRecord::new("ref", reference)]);
+        let p = r
+            .refine_segment(
+                &query,
+                &[(0, 0)],
+                &mut RefineScratch::new(),
+                &mut RefineStats::default(),
+            )
+            .expect("each block alone places");
+        assert!(p.t_end - p.t_start < 5_000, "chain bridged the gap: {p:?}");
+        let on_a_block = |lo: u32, hi: u32| p.t_start + 100 >= lo && p.t_end <= hi + 100;
+        assert!(
+            on_a_block(1_000, 2_000) || on_a_block(10_000, 11_000),
+            "{p:?}"
+        );
+        assert!(p.second > 0, "the other block is the runner-up: {p:?}");
+    }
+
+    #[test]
     fn picks_the_true_contig_among_candidates() {
         let a = rng_seq(5_000, 47);
         let b = rng_seq(5_000, 53);

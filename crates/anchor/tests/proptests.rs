@@ -1,12 +1,36 @@
 //! Property tests pinning the stage-2 kernels to their naive references:
 //! the O(n log n) chain DP against the O(n²) DP, and the O(n) monotone-
-//! deque dominance filter against the literal pairwise definition.
+//! deque dominance filter against the literal pairwise definition. The
+//! whole refiner is pinned to where a verbatim region came from.
 
 use jem_anchor::{
     chain_anchors, chain_anchors_naive, filter_dominated, filter_dominated_naive, Anchor,
-    ChainScratch, FilterScratch, Window,
+    ChainScratch, FilterScratch, Placement, RefineScratch, RefineStats, Refiner, Window,
 };
+use jem_seq::alphabet::revcomp_bytes;
+use jem_seq::SeqRecord;
+use jem_sketch::SketchScheme;
 use proptest::prelude::*;
+
+fn dna(min: usize, max: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(prop::sample::select(vec![b'A', b'C', b'G', b'T']), min..max)
+}
+
+/// Place `query` on `reference` with a k = 11, w = 5 refiner that takes
+/// the reference as its only candidate.
+fn place(reference: &[u8], query: &[u8]) -> Option<Placement> {
+    let refiner = Refiner::new(
+        SketchScheme::Minimizer { w: 5 },
+        11,
+        vec![SeqRecord::new("ref", reference.to_vec())],
+    );
+    refiner.refine_segment(
+        query,
+        &[(0, 0)],
+        &mut RefineScratch::new(),
+        &mut RefineStats::default(),
+    )
+}
 
 fn anchors_from(pairs: &[(u32, u32)]) -> Vec<Anchor> {
     pairs
@@ -131,5 +155,36 @@ proptest! {
             prop_assert!(found.is_some(), "{:?} out of order", w);
             cursor += found.unwrap() + 1;
         }
+    }
+
+    /// A verbatim 1.2 kb region of a random reference places on the
+    /// forward strand with both target ends within 150 bp of the truth.
+    #[test]
+    fn refiner_coordinates_within_tolerance(
+        reference in dna(8_000, 15_000),
+        start_frac in 0.0f64..0.6,
+    ) {
+        let start = (reference.len() as f64 * start_frac) as usize;
+        let end = (start + 1_200).min(reference.len());
+        let p = place(&reference, &reference[start..end]).expect("verbatim region must place");
+        prop_assert_eq!(p.subject, 0);
+        prop_assert!(!p.reverse);
+        prop_assert!((p.t_start as i64 - start as i64).abs() < 150,
+            "t_start {} vs {}", p.t_start, start);
+        prop_assert!((p.t_end as i64 - end as i64).abs() < 150,
+            "t_end {} vs {}", p.t_end, end);
+        prop_assert!(p.q_start < p.q_end);
+        prop_assert!(p.t_start < p.t_end);
+    }
+
+    /// The reverse complement of a region places on the reverse strand at
+    /// the region's target coordinates.
+    #[test]
+    fn refiner_reverse_strand_detected(reference in dna(8_000, 12_000)) {
+        let query = revcomp_bytes(&reference[3_000..4_200]);
+        let p = place(&reference, &query).expect("revcomp region must place");
+        prop_assert!(p.reverse);
+        prop_assert!((p.t_start as i64 - 3_000).abs() < 150, "t_start {}", p.t_start);
+        prop_assert!((p.t_end as i64 - 4_200).abs() < 150, "t_end {}", p.t_end);
     }
 }

@@ -1,8 +1,7 @@
 //! # jem-baseline — the comparator mappers
 //!
-//! The paper's evaluation compares JEM-mapper against two baselines, and
-//! uses a third tool to build its benchmark. All three are reimplemented
-//! here from scratch:
+//! The paper's evaluation compares JEM-mapper against two baselines, both
+//! reimplemented here from scratch:
 //!
 //! * [`mashmap`] — a Mashmap-style two-stage winnowed-minhash mapper
 //!   (Jain et al., RECOMB 2017): a minimizer index with *positions*,
@@ -15,24 +14,19 @@
 //! * [`minhash_mapper`] — the classical whole-segment MinHash mapper the
 //!   paper sweeps in Fig. 6 (one sketch per trial over *all* k-mers of a
 //!   sequence, no positional locality).
-//! * [`seedchain`] — a minimap2-flavoured seed-and-chain mapper (minimizer
-//!   anchors + gap-penalized DP chaining). The paper uses Minimap2 to map
-//!   contigs/reads back to the reference when constructing its benchmark;
-//!   this provides that remapping path.
 //!
-//! All mappers consume the same inputs as [`jem_core::JemMapper`] and emit
+//! Both mappers consume the same inputs as [`jem_core::JemMapper`] and emit
 //! [`jem_core::Mapping`] values, so the evaluation harness treats every
-//! tool uniformly.
+//! tool uniformly. The paper's third tool, Minimap2, only places contigs
+//! and reads on the reference while the benchmark is built (Fig. 4); that
+//! seed-and-chain role is stage 2's (`jem_anchor::Refiner` with every
+//! reference record as a candidate).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mashmap;
 pub mod minhash_mapper;
-pub mod paf;
-pub mod seedchain;
 
 pub use mashmap::{run_mashmap_threaded, MashmapConfig, MashmapMapper};
 pub use minhash_mapper::{ClassicMinHashConfig, ClassicMinHashMapper};
-pub use paf::{mapq_from_scores, write_paf, PafRecord};
-pub use seedchain::{Anchor, Chain, SeedChainConfig, SeedChainMapper};

@@ -1,9 +1,6 @@
 //! Property-based tests for the baseline mappers.
 
-use jem_baseline::{
-    ClassicMinHashConfig, ClassicMinHashMapper, MashmapConfig, MashmapMapper, SeedChainConfig,
-    SeedChainMapper,
-};
+use jem_baseline::{ClassicMinHashConfig, ClassicMinHashMapper, MashmapConfig, MashmapMapper};
 use jem_seq::alphabet::revcomp_bytes;
 use jem_seq::SeqRecord;
 use jem_sketch::{classic_minhash_seq, HashFamily};
@@ -120,40 +117,5 @@ proptest! {
                 .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             prop_assert_eq!(mapper.map_segment(query, qid as u64, &mut counter), want);
         }
-    }
-
-    #[test]
-    fn seedchain_coordinates_within_tolerance(
-        reference in dna(8_000, 15_000),
-        start_frac in 0.0f64..0.6,
-    ) {
-        let config = SeedChainConfig { k: 11, w: 5, max_predecessors: 50, max_gap: 2_000, min_score: 22 };
-        let mapper = SeedChainMapper::build(
-            vec![SeqRecord::new("ref", reference.clone())],
-            &config,
-        );
-        let start = (reference.len() as f64 * start_frac) as usize;
-        let end = (start + 1_200).min(reference.len());
-        let chain = mapper.map(&reference[start..end]).expect("verbatim region must map");
-        prop_assert_eq!(chain.subject, 0);
-        prop_assert!(!chain.reverse);
-        prop_assert!((chain.s_start as i64 - start as i64).abs() < 150,
-            "s_start {} vs {}", chain.s_start, start);
-        prop_assert!((chain.s_end as i64 - end as i64).abs() < 150);
-        prop_assert!(chain.q_start < chain.q_end);
-        prop_assert!(chain.s_start < chain.s_end);
-    }
-
-    #[test]
-    fn seedchain_reverse_strand_detected(reference in dna(8_000, 12_000)) {
-        let config = SeedChainConfig { k: 11, w: 5, max_predecessors: 50, max_gap: 2_000, min_score: 22 };
-        let mapper = SeedChainMapper::build(
-            vec![SeqRecord::new("ref", reference.clone())],
-            &config,
-        );
-        let query = revcomp_bytes(&reference[3_000..4_200]);
-        let chain = mapper.map(&query).expect("revcomp region must map");
-        prop_assert!(chain.reverse);
-        prop_assert!((chain.s_start as i64 - 3_000).abs() < 150);
     }
 }

@@ -19,17 +19,28 @@ pub fn run() {
     for spec in super::performance_specs() {
         let prep = PreparedDataset::generate(&spec, env_seed());
 
-        // (a) breakdown at p = 16.
-        let outcome = run_distributed_resilient(
-            &prep.subjects,
-            &prep.reads,
-            &config,
-            16,
-            cost,
-            ExecMode::Sequential,
-            &ResilienceOptions::default(),
-        )
-        .expect("a fault-free run cannot fail");
+        // (a) breakdown at p = 16: the faster of two runs by makespan, as
+        // Table II keeps its cells — one wall-clock sample jitters with
+        // the host.
+        let outcome = (0..2)
+            .map(|_| {
+                run_distributed_resilient(
+                    &prep.subjects,
+                    &prep.reads,
+                    &config,
+                    16,
+                    cost,
+                    ExecMode::Sequential,
+                    &ResilienceOptions::default(),
+                )
+                .expect("a fault-free run cannot fail")
+            })
+            .min_by(|a, b| {
+                a.report
+                    .makespan_secs()
+                    .total_cmp(&b.report.makespan_secs())
+            })
+            .expect("two runs");
         let b = outcome.breakdown();
         rows_a.push(vec![
             prep.name().to_string(),

@@ -47,16 +47,17 @@ fn write_metrics(path: &str, rec: &jem_obs::MetricsRecorder) -> Result<(), CliEr
     Ok(())
 }
 
-/// Parse `--threads N` (None when absent): the number of mapping workers.
-/// An index built on the way (`--subjects`) uses every core regardless.
-fn thread_count(args: &Args) -> Result<Option<usize>, CliError> {
+/// Parse `--threads N`: the number of mapping workers, one per core when
+/// absent. An index built on the way (`--subjects`) uses every core
+/// regardless.
+fn thread_count(args: &Args) -> Result<usize, CliError> {
     if args.has("threads") {
         return Err(CliError::Usage(
             "--threads needs a value (e.g. --threads 4)".into(),
         ));
     }
     match args.get("threads") {
-        None => Ok(None),
+        None => Ok(default_workers()),
         Some(v) => {
             let n: usize = v
                 .parse()
@@ -64,7 +65,7 @@ fn thread_count(args: &Args) -> Result<Option<usize>, CliError> {
             if n == 0 {
                 return Err(CliError::Usage("--threads must be at least 1".into()));
             }
-            Ok(Some(n))
+            Ok(n)
         }
     }
 }
@@ -220,7 +221,7 @@ fn build_refiner(mapper: &JemMapper, subjects: Vec<SeqRecord>) -> Result<Refiner
 }
 
 /// `jem map (--index index.jem | --subjects contigs.fa) --queries reads.fq
-///  [--out out.tsv] [--paf out.paf] [--parallel] [--threads N]
+///  [--out out.tsv] [--paf out.paf] [--threads N]
 ///  [--metrics FILE] [config flags]`
 ///
 /// `--paf FILE` additionally runs stage-2 anchor refinement (chained
@@ -234,19 +235,20 @@ fn build_refiner(mapper: &JemMapper, subjects: Vec<SeqRecord>) -> Result<Refiner
 /// thread while the index is loaded and fully verified — or built — on
 /// another (with `--paf`, the `--subjects` read too). Nothing is mapped
 /// and no output is created until both are in. `--threads N` maps on N
-/// workers, `--parallel` on one per core, neither on one.
+/// workers, and without it on one per core; the output is the same at
+/// every worker count.
 pub fn cmd_map(args: &Args) -> Result<(), CliError> {
     known_flags(
         args,
         &[
             CONFIG_FLAGS,
             &[
-                "index", "subjects", "queries", "out", "paf", "parallel", "threads", "metrics",
+                "index", "subjects", "queries", "out", "paf", "threads", "metrics",
             ],
         ],
     )?;
     let metrics = metrics_recorder(args)?;
-    let threads = thread_count(args)?;
+    let workers = thread_count(args)?;
     let queries = args.req("queries")?;
     let paf_path = args.get("paf");
     if paf_path.is_some() && args.get("subjects").is_none() {
@@ -262,11 +264,6 @@ pub fn cmd_map(args: &Args) -> Result<(), CliError> {
         }
         (None, Some(_)) => mapper_config(args)?.0.ell,
         (None, None) => return Err(CliError::Usage("need --index or --subjects".into())),
-    };
-    let workers = match threads {
-        Some(n) => n,
-        None if args.has("parallel") => default_workers(),
-        None => 1,
     };
     let (loaded, ingested) = std::thread::scope(|s| {
         let side = s.spawn(|| load_for_map(args, paf_path.is_some()));
@@ -1296,7 +1293,7 @@ pub fn cmd_route(args: &Args) -> Result<(), CliError> {
 /// `jem query --addr HOST:PORT (--queries reads.fq | --queries - | --ping |
 ///  --shutdown | --reload FILE) [--client-id NAME] [--chunk 64]
 ///  [--deadline MS] [--out FILE] [--paf FILE --subjects contigs.fa]
-///  [--via-router [--allow-degraded]]`
+///  [--allow-degraded]`
 ///  — map reads through a running `jem serve`. The index parameters
 ///  (segment length, subject names, trial count) come from the server's
 ///  `Info` response, so the rendered TSV is byte-identical to an offline
@@ -1311,18 +1308,17 @@ pub fn cmd_route(args: &Args) -> Result<(), CliError> {
 /// typed `Throttled` whose retry hint the built-in retries honor, and an
 /// exhausted retry budget exits 75 (`EX_TEMPFAIL`) rather than 1.
 ///
-/// `--via-router` declares that `--addr` points at a `jem route` front-end;
-/// with `--allow-degraded` on top, queries accept partial answers when
-/// shards are down — any missing shard ids are reported on stderr and the
-/// exit stays 0 (an answer with named gaps beats no answer). Without
-/// `--allow-degraded`, a router with missing shards fails the query with a
-/// typed error naming them.
+/// `--allow-degraded` asks a `jem route` front-end for partial answers
+/// when shards are down — any missing shard ids are reported on stderr
+/// and the exit stays 0 (an answer with named gaps beats no answer).
+/// Without it, a router with missing shards fails the query with a typed
+/// error naming them. A plain `jem serve` refuses degraded requests with a
+/// typed error: degraded answers belong to the router tier.
 pub fn cmd_query(args: &Args) -> Result<(), CliError> {
     known_flags(
         args,
         &[&[
             "addr",
-            "via-router",
             "allow-degraded",
             "client-id",
             "ping",
@@ -1337,14 +1333,7 @@ pub fn cmd_query(args: &Args) -> Result<(), CliError> {
         ]],
     )?;
     let addr = args.req("addr")?;
-    let via_router = args.has("via-router");
     let allow_degraded = args.has("allow-degraded");
-    if allow_degraded && !via_router {
-        return Err(CliError::Usage(
-            "--allow-degraded needs --via-router: degraded answers come from the router tier"
-                .into(),
-        ));
-    }
     let mut client = jem_serve::Client::new(addr);
     if let Some(id) = args.get("client-id") {
         if id.len() > jem_serve::MAX_CLIENT_ID {

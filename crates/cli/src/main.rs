@@ -37,7 +37,8 @@ COMMANDS:
                 (--index FILE | --subjects FILE) --queries FILE|- [--out FILE]
                 [--paf FILE  also refine to coordinates + MAPQ as PAF;
                 needs --subjects for the contig sequences]
-                [--parallel] [--threads N] [--metrics FILE]
+                [--threads N  mapping workers, default one per core]
+                [--metrics FILE]
                 [config flags as for index]  (--queries - reads stdin)
   serve       keep a persisted index resident and serve mapping requests
               over TCP until `jem query --shutdown` (DESIGN.md §10–§11)
@@ -73,8 +74,8 @@ COMMANDS:
                 [--chunk 64] [--deadline MS  shed instead of serving late]
                 [--out FILE] [--paf FILE --subjects contigs.fa  refine the
                 served hits to coordinates client-side]
-                [--via-router [--allow-degraded  accept
-                partial answers, report missing shards on stderr]]
+                [--allow-degraded  accept a router's partial answers,
+                report missing shards on stderr]
   distributed run the S1–S4 pipeline on simulated MPI ranks, with optional
               fault injection and recovery (makespan + fault report)
                 --subjects FILE --queries FILE [--ranks 8] [--threads]

@@ -438,24 +438,52 @@ fn query_fails_on_a_missing_file_before_contacting_the_server() {
     assert!(stderr.contains("/nonexistent/q.fq"), "{stderr}");
 }
 
-/// Anonymous clients share one quota: past it, `jem query` without
-/// `--client-id` is refused with the typed throttle and exits 75
-/// (`EX_TEMPFAIL`), exactly like an identified client.
+/// `jem map` without `--threads` runs one worker per core and writes the
+/// same TSV as one worker; the retired `--parallel` switch is an unknown
+/// flag.
 #[test]
-fn an_anonymous_query_over_quota_exits_75() {
-    let dir = indexed_world("throttle");
+fn map_defaults_to_one_worker_per_core() {
+    let dir = indexed_world("workers");
     let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let map = |out: &str, extra: &[&str]| {
+        let mut cmd = jem();
+        cmd.args([
+            "map",
+            "--index",
+            &p("index.jem"),
+            "--queries",
+            &p("reads.fq"),
+        ])
+        .args(["--out", &p(out)])
+        .args(extra);
+        cmd
+    };
+    run(&mut map("one.tsv", &["--threads", "1"]));
+    run(&mut map("default.tsv", &[]));
+    assert_eq!(
+        std::fs::read(p("default.tsv")).unwrap(),
+        std::fs::read(p("one.tsv")).unwrap()
+    );
+    let out = map("parallel.tsv", &["--parallel"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --parallel "), "{stderr}");
+    assert!(!dir.join("parallel.tsv").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Start `jem serve` on a free localhost port over `index` and wait for
+/// it to answer a ping; returns the process and its address.
+fn spawn_server(index: &str, extra: &[&str]) -> (std::process::Child, String) {
     let port = std::net::TcpListener::bind("127.0.0.1:0")
         .unwrap()
         .local_addr()
         .unwrap()
         .port();
     let addr = format!("127.0.0.1:{port}");
-    // One token, refilled every five seconds: the first request spends
-    // it, and the retry hint of the second outlasts the query's retries.
-    let mut server = jem()
-        .args(["serve", "--index", &p("index.jem"), "--addr", &addr])
-        .args(["--quota-rate", "0.2", "--quota-burst", "1"])
+    let server = jem()
+        .args(["serve", "--index", index, "--addr", &addr])
+        .args(extra)
         .spawn()
         .unwrap();
     let up = (0..100).any(|_| {
@@ -471,6 +499,53 @@ fn an_anonymous_query_over_quota_exits_75() {
         ok
     });
     assert!(up, "jem serve never answered a ping");
+    (server, addr)
+}
+
+/// `jem query --via-router` is retired: an unknown flag, refused before
+/// anything is contacted. `--allow-degraded` stands alone, and a plain
+/// `jem serve` answers it with the server's typed error: exit 1, no
+/// output file.
+#[test]
+fn allow_degraded_against_a_shard_server_fails_typed() {
+    let out = jem()
+        .args(["query", "--addr", "127.0.0.1:9", "--via-router", "--ping"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --via-router "), "{stderr}");
+
+    let dir = indexed_world("degraded");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (mut server, addr) = spawn_server(&p("index.jem"), &[]);
+    let out = jem()
+        .args(["query", "--addr", &addr, "--allow-degraded"])
+        .args(["--queries", &p("reads.fq"), "--out", &p("degraded.tsv")])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    run(jem().args(["query", "--addr", &addr, "--shutdown"]));
+    assert!(server.wait().unwrap().success());
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("router tier"), "{stderr}");
+    assert!(!dir.join("degraded.tsv").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Anonymous clients share one quota: past it, `jem query` without
+/// `--client-id` is refused with the typed throttle and exits 75
+/// (`EX_TEMPFAIL`), exactly like an identified client.
+#[test]
+fn an_anonymous_query_over_quota_exits_75() {
+    let dir = indexed_world("throttle");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    // One token, refilled every five seconds: the first request spends
+    // it, and the retry hint of the second outlasts the query's retries.
+    let (mut server, addr) = spawn_server(
+        &p("index.jem"),
+        &["--quota-rate", "0.2", "--quota-burst", "1"],
+    );
     let out = jem()
         .args(["query", "--addr", &addr, "--queries", &p("reads.fq")])
         .args(["--chunk", "2", "--out", &p("throttled.tsv")])

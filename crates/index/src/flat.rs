@@ -525,13 +525,6 @@ impl FlatTable {
         }
     }
 
-    /// Approximate resident bytes attributable to this view: the backing
-    /// words when owned; an mmap'd source is shared page cache, but the
-    /// number still describes the artifact's footprint.
-    pub fn approx_bytes(&self) -> usize {
-        self.source.words().len() * 8
-    }
-
     /// The section offsets over the backing words, for one loop's reads.
     fn view(&self) -> View<'_> {
         let buckets = self.base + HEAD;

@@ -141,11 +141,6 @@ impl<V> U64Map<V> {
             .filter_map(|s| s.as_ref().map(|(k, v)| (*k, v)))
     }
 
-    /// Consume into `(key, value)` pairs in unspecified order.
-    pub fn into_iter_pairs(self) -> impl Iterator<Item = (u64, V)> {
-        self.slots.into_iter().flatten()
-    }
-
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
         let mut bigger = U64Map::<V> {

@@ -14,11 +14,6 @@
 //!    valid runs* ([`Run`]). Inside a run every base is a valid 2-bit code, so
 //!    downstream k-mer loops ([`RunCodes`]) read codes by shift/mask with no
 //!    validity checks and no reset logic at all.
-//!
-//! The word layout deliberately matches [`PackedSeq`](crate::packed::PackedSeq)
-//! (base `i` in bits `2*(i%4)` of byte `i/4` — exactly the little-endian byte
-//! image of the words here), so a fully-valid encoding converts to a
-//! `PackedSeq` by memcpy of `to_le_bytes`.
 
 use crate::alphabet::{ENCODE_LUT, INVALID_CODE};
 
@@ -130,37 +125,11 @@ impl BlockEncoded {
         &self.runs
     }
 
-    /// The packed 2-bit words (see type-level docs for the layout).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// 2-bit code of base `i`. Only meaningful inside a [`Run`]; slots holding
     /// ambiguous bytes contain unspecified garbage.
     #[inline]
     pub fn code_at(&self, i: usize) -> u8 {
         ((self.words[i / BASES_PER_WORD] >> (2 * (i % BASES_PER_WORD))) & 3) as u8
-    }
-
-    /// Position of the first ambiguous byte, or `None` if every base is valid.
-    ///
-    /// Derived from the run list: runs are maximal, so the base right after a
-    /// first run starting at 0 is invalid unless that run covers everything.
-    pub fn first_invalid(&self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        match self.runs.first() {
-            Some(r) if r.start == 0 => {
-                if r.len as usize == self.len {
-                    None
-                } else {
-                    Some(r.len as usize)
-                }
-            }
-            _ => Some(0),
-        }
     }
 }
 
@@ -326,12 +295,10 @@ mod tests {
         enc.encode_into(b"");
         assert!(enc.is_empty());
         assert!(enc.runs().is_empty());
-        assert_eq!(enc.first_invalid(), None);
 
         enc.encode_into(b"NNNNN");
         assert_eq!(enc.len(), 5);
         assert!(enc.runs().is_empty());
-        assert_eq!(enc.first_invalid(), Some(0));
     }
 
     #[test]
@@ -404,22 +371,5 @@ mod tests {
         for &b in &seq[run.start as usize..run.end()] {
             assert_eq!(codes.next_code() as u8, encode_base(b).unwrap());
         }
-    }
-
-    #[test]
-    fn first_invalid_positions() {
-        assert_eq!(first_invalid(b"ACGT"), None);
-        assert_eq!(first_invalid(b"NACGT"), Some(0));
-        assert_eq!(first_invalid(b"ACGNT"), Some(3));
-        assert_eq!(first_invalid(b"ACGTN"), Some(4));
-        let mut long = vec![b'A'; 40];
-        long[33] = b'x';
-        assert_eq!(first_invalid(&long), Some(33));
-    }
-
-    fn first_invalid(seq: &[u8]) -> Option<usize> {
-        let mut enc = BlockEncoded::default();
-        enc.encode_into(seq);
-        enc.first_invalid()
     }
 }

@@ -12,8 +12,6 @@
 //! * [`block`] — branch-free block 2-bit encoding: LUT-translated 32-base
 //!   blocks packed into `u64` words with validity masks, split once into
 //!   maximal valid runs for the sketching hot loops.
-//! * [`packed`] — 2-bit packed sequences for memory-efficient storage of
-//!   contigs and reads.
 //! * [`record`] — named sequence records shared by the FASTA/FASTQ codecs.
 //! * [`parse`] — the byte-level FASTA/FASTQ parser core: reused line
 //!   buffers, borrowed records.
@@ -31,7 +29,6 @@ pub mod error;
 pub mod fasta;
 pub mod fastq;
 pub mod kmer;
-pub mod packed;
 pub mod parse;
 pub mod record;
 
@@ -41,6 +38,5 @@ pub use error::SeqError;
 pub use fasta::{FastaReader, FastaWriter};
 pub use fastq::{FastqReader, FastqWriter};
 pub use kmer::{CanonicalKmerIter, Kmer, KmerIter};
-pub use packed::PackedSeq;
 pub use parse::{RecordParser, RecordRef, SeqFormat};
 pub use record::{FastqRecord, SeqRecord};

@@ -2,8 +2,8 @@
 
 use jem_seq::{
     alphabet::revcomp_bytes, encode_base, BlockEncoded, CanonicalKmerIter, FastaReader,
-    FastaWriter, FastqReader, FastqRecord, FastqWriter, Kmer, KmerIter, PackedSeq, RunCodes,
-    SeqError, SeqRecord,
+    FastaWriter, FastqReader, FastqRecord, FastqWriter, Kmer, KmerIter, RunCodes, SeqError,
+    SeqRecord,
 };
 use proptest::prelude::*;
 
@@ -75,18 +75,6 @@ fn fasta_roundtrip_saved_case_empty_sequence() {
 }
 
 proptest! {
-    #[test]
-    fn packed_roundtrip(seq in dna(300)) {
-        let p = PackedSeq::from_bytes(&seq).unwrap();
-        prop_assert_eq!(p.to_bytes(), seq);
-    }
-
-    #[test]
-    fn packed_revcomp_involution(seq in dna(200)) {
-        let p = PackedSeq::from_bytes(&seq).unwrap();
-        prop_assert_eq!(p.revcomp().revcomp().to_bytes(), seq);
-    }
-
     #[test]
     fn revcomp_bytes_involution(seq in dna(200)) {
         prop_assert_eq!(revcomp_bytes(&revcomp_bytes(&seq)), seq);
@@ -207,14 +195,6 @@ proptest! {
                 Err(e) => prop_assert!(false, "untyped FASTA error: {e}"),
             }
         }
-    }
-
-    #[test]
-    fn packed_kmer_at_matches_slice(seq in dna(100), start in 0usize..80, k in 1usize..12) {
-        prop_assume!(start + k <= seq.len());
-        let p = PackedSeq::from_bytes(&seq).unwrap();
-        let km = p.kmer_at(start, k).unwrap();
-        prop_assert_eq!(km.to_bytes(), seq[start..start + k].to_vec());
     }
 
     /// The block encoder's per-position codes must match the scalar LUT,

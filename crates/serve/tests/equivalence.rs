@@ -41,7 +41,7 @@ fn world() -> (JemMapper, Vec<SeqRecord>) {
 }
 
 /// The offline reference TSV: sequential `map_reads` + `write_mappings_tsv`
-/// (exactly what `jem map` without `--parallel` produces).
+/// (exactly what `jem map` produces, at any `--threads`).
 fn offline_tsv(mapper: &JemMapper, reads: &[SeqRecord]) -> Vec<u8> {
     let mappings = mapper.map_reads(reads);
     // The documented total order: sequential output is already sorted, so

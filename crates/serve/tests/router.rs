@@ -60,8 +60,8 @@ fn offline_tsv(mapper: &JemMapper, reads: &[SeqRecord]) -> Vec<u8> {
 }
 
 /// The routed TSV: chunked client round-trips against the router address
-/// plus `Info`-derived rendering (exactly what `jem query --via-router`
-/// produces for a healthy topology).
+/// plus `Info`-derived rendering (exactly what `jem query` against a
+/// `jem route` address produces for a healthy topology).
 fn routed_tsv(addr: &str, reads: &[SeqRecord], chunk: usize) -> Vec<u8> {
     let client = Client::new(addr);
     let info = client.info().unwrap();

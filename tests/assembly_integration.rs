@@ -1,14 +1,40 @@
 //! Integration of the assembly substrate with the mappers: the paper's
 //! full data-preparation path (short reads → DBG assembly → contigs), plus
-//! coordinate recovery with the seed-chain mapper (the Minimap2 role).
+//! coordinate recovery on the reference through stage 2's refiner (the
+//! Minimap2 role).
 
-use jem_baseline::{SeedChainConfig, SeedChainMapper};
+use jem_anchor::{Placement, RefineParams, RefineScratch, RefineStats, Refiner};
 use jem_core::{JemMapper, MapperConfig};
 use jem_dbg::{assemble, AssemblyParams};
-use jem_seq::SeqRecord;
+use jem_seq::{revcomp_bytes, SeqRecord};
 use jem_sim::{
-    read_records, simulate_hifi, simulate_illumina, Genome, HifiProfile, IlluminaProfile,
+    fragment_contigs, read_records, simulate_hifi, simulate_illumina, ContigProfile, Genome,
+    GenomeProfile, HifiProfile, IlluminaProfile,
 };
+use jem_sketch::SketchScheme;
+
+/// Stage 2 as the Minimap2 stand-in: minimap2's default k = 15, w = 10
+/// minimizers, and every reference record a candidate.
+fn remapper(reference: Vec<SeqRecord>) -> Refiner {
+    let params = RefineParams {
+        top_candidates: reference.len(),
+        ..RefineParams::default()
+    };
+    Refiner::with_params(SketchScheme::Minimizer { w: 10 }, 15, reference, params)
+}
+
+/// Place `query` on the remapper's reference.
+fn remap(remapper: &Refiner, query: &[u8]) -> Option<Placement> {
+    let candidates: Vec<(u32, u32)> = (0..remapper.n_subjects() as u32)
+        .map(|id| (id, 0))
+        .collect();
+    remapper.refine_segment(
+        query,
+        &candidates,
+        &mut RefineScratch::new(),
+        &mut RefineStats::default(),
+    )
+}
 
 fn assembled_world() -> (Genome, Vec<SeqRecord>) {
     let genome = Genome::random(120_000, 0.5, 777);
@@ -41,17 +67,16 @@ fn assembly_covers_most_of_the_genome() {
 #[test]
 fn assembled_contigs_remap_to_reference_coordinates() {
     // The benchmark-construction path: map each assembled contig back to
-    // the reference with the seed-chain mapper and check the recovered
-    // span is plausible (the paper does this with Minimap2).
+    // the reference and check the recovered span is plausible (the paper
+    // does this with Minimap2).
     let (genome, contigs) = assembled_world();
-    let reference = vec![SeqRecord::new("ref", genome.seq.clone())];
-    let mapper = SeedChainMapper::build(reference, &SeedChainConfig::default());
+    let remapper = remapper(vec![SeqRecord::new("ref", genome.seq.clone())]);
     let inspected: Vec<_> = contigs.iter().take(10).collect();
     let mut mapped = 0;
     for c in &inspected {
-        if let Some(chain) = mapper.map(&c.seq) {
+        if let Some(p) = remap(&remapper, &c.seq) {
             mapped += 1;
-            let span = (chain.s_end - chain.s_start) as f64;
+            let span = (p.t_end - p.t_start) as f64;
             assert!(
                 span > c.seq.len() as f64 * 0.8 && span < c.seq.len() as f64 * 1.2,
                 "recovered span {span} vs contig length {}",
@@ -64,6 +89,50 @@ fn assembled_contigs_remap_to_reference_coordinates() {
         "only {mapped}/{} contigs remapped",
         inspected.len()
     );
+}
+
+/// Every contig of a bacterial and a eukaryotic analogue, on either
+/// strand, remaps to its simulator truth: the strand, and both ends
+/// within 100 bp.
+#[test]
+fn fragment_contigs_remap_to_their_truth_coordinates() {
+    for (name, genome_profile, contig_profile) in [
+        (
+            "bacterial",
+            GenomeProfile::bacterial(400_000),
+            ContigProfile::bacterial(),
+        ),
+        (
+            "eukaryotic",
+            GenomeProfile::eukaryotic(400_000),
+            ContigProfile::eukaryotic(),
+        ),
+    ] {
+        let genome = Genome::from_profile(name, &genome_profile, 41);
+        let contigs = fragment_contigs(&genome, &contig_profile, 42);
+        assert!(contigs.len() > 10, "{name}: only {} contigs", contigs.len());
+        let remapper = remapper(vec![SeqRecord::new(name, genome.seq.clone())]);
+        for c in &contigs {
+            for reverse in [false, true] {
+                let query = if reverse {
+                    revcomp_bytes(&c.seq)
+                } else {
+                    c.seq.clone()
+                };
+                let p = remap(&remapper, &query)
+                    .unwrap_or_else(|| panic!("{name} {} (reverse {reverse}) unplaced", c.id));
+                let off_start = (p.t_start as i64 - c.ref_start as i64).abs();
+                let off_end = (p.t_end as i64 - c.ref_end as i64).abs();
+                assert!(
+                    p.reverse == reverse && off_start <= 100 && off_end <= 100,
+                    "{name} {} (reverse {reverse}) at {}..{}: placed {p:?}",
+                    c.id,
+                    c.ref_start,
+                    c.ref_end
+                );
+            }
+        }
+    }
 }
 
 #[test]
