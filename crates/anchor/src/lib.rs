@@ -22,8 +22,9 @@
 //!    the standard 12-column PAF line.
 //!
 //! [`AnchorPipeline`] fuses both stages off one sketch pass per segment;
-//! its `mappings` output is byte-identical to the legacy stage-1 drivers,
-//! so coordinate output is strictly additive.
+//! its `mappings` output equals the stage-1 drivers' at every worker
+//! count (the workspace's differential oracle checks it), so coordinate
+//! output is strictly additive.
 //!
 //! The same [`Refiner`] takes the role Minimap2 plays in the paper's
 //! benchmark construction (Fig. 4): built over the reference records,

@@ -1,29 +1,26 @@
-//! End-to-end drivers: stage-1 sketch mapping fused with stage-2
+//! The end-to-end driver: stage-1 sketch mapping fused with stage-2
 //! refinement.
 //!
 //! [`AnchorPipeline`] runs both stages off a single sketch pass per
 //! segment: stage 2 refines from the position list stage 1 winnowed, and
-//! the probe kernel's hit counts feed a candidate ranking whose
-//! top entry reproduces the legacy best-hit [`Mapping`] exactly (the one
-//! ranking rule, [`jem_index::rank_order`]: count descending, smaller id
-//! on ties), and whose top-x entries form the stage-2 shortlist. The legacy TSV path is thus
-//! strictly additive: `mappings` out of these drivers is byte-identical to
-//! [`JemMapper::map_reads`] / [`jem_core::map_reads_parallel`], pinned by
-//! the `anchor_paf` integration test. Work is spread by the same
-//! segment-batch driver ([`jem_core::run_batches`]).
+//! the probe kernel's hit counts feed a candidate ranking whose top entry
+//! is the best-hit [`Mapping`] (the one ranking rule,
+//! [`jem_index::rank_order`]: count descending, smaller id on ties), and
+//! whose top-x entries form the stage-2 shortlist. The TSV path is thus
+//! strictly additive: the `mappings` of [`AnchorPipeline::run_segments`]
+//! equal [`JemMapper::map_segments`]' at every worker count, which the
+//! workspace's differential oracle (`tests/oracle.rs`) pins. Work is
+//! spread by the same segment-batch driver ([`jem_core::run_batches`]).
 
 use crate::paf::PafRow;
 use crate::refine::{RefineScratch, RefineStats, Refiner};
-use jem_core::{
-    default_workers, make_segments, run_batches, JemMapper, MapScratch, Mapping, QuerySegment,
-};
+use jem_core::{run_batches, JemMapper, MapScratch, Mapping, QuerySegment};
 use jem_index::SubjectId;
-use jem_seq::SeqRecord;
 
 /// Both stages' output for one read set.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnchorOutput {
-    /// Stage-1 best-hit mappings — identical to the legacy drivers'.
+    /// Stage-1 best-hit mappings — identical to [`JemMapper::map_segments`]'.
     pub mappings: Vec<Mapping>,
     /// Stage-2 coordinate placements, one per refinable segment, in
     /// `(read_idx, end)` order.
@@ -81,7 +78,7 @@ impl<'a> AnchorPipeline<'a> {
     }
 
     /// Stage 1 for one segment: sketch, probe, and rank every candidate
-    /// into `scratch.ranked`. The top entry is the legacy best hit.
+    /// into `scratch.ranked`. The top entry is the best hit.
     fn rank_candidates(&self, seg: &[u8], scratch: &mut PipelineScratch) {
         self.mapper
             .rank_segment_into(seg, &mut scratch.map, &mut scratch.ranked);
@@ -126,18 +123,6 @@ impl<'a> AnchorPipeline<'a> {
                 )
             });
         (Some(mapping), row)
-    }
-
-    /// Sequential driver: segment every read, run both stages per segment.
-    pub fn run(&self, reads: &[SeqRecord]) -> AnchorOutput {
-        self.run_segments(&make_segments(reads, self.mapper.config().ell), 1)
-    }
-
-    /// [`AnchorPipeline::run`] on `threads` workers (`None`: one per
-    /// core); the output is identical for every worker count.
-    pub fn run_parallel(&self, reads: &[SeqRecord], threads: Option<usize>) -> AnchorOutput {
-        let segments = make_segments(reads, self.mapper.config().ell);
-        self.run_segments(&segments, threads.unwrap_or_else(default_workers))
     }
 
     /// Run both stages over prepared segments on `workers` threads pulling
@@ -201,7 +186,8 @@ impl<'a> AnchorPipeline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jem_core::MapperConfig;
+    use jem_core::{make_segments, MapperConfig};
+    use jem_seq::SeqRecord;
     use jem_sim::{
         contig_records, fragment_contigs, read_records, simulate_hifi, ContigProfile, Genome,
         HifiProfile,
@@ -236,36 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn stage1_output_matches_legacy_driver_exactly() {
-        let (contigs, reads, config) = world();
-        let mapper = JemMapper::build(&contigs, &config);
-        let refiner = Refiner::new(mapper.scheme(), config.k, contigs.clone());
-        let pipeline = AnchorPipeline::new(&mapper, &refiner);
-        let out = pipeline.run(&reads);
-        assert_eq!(out.mappings, mapper.map_reads(&reads));
-        assert!(!out.paf.is_empty(), "no segment was refined");
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (contigs, reads, config) = world();
-        let mapper = JemMapper::build(&contigs, &config);
-        let refiner = Refiner::new(mapper.scheme(), config.k, contigs.clone());
-        let pipeline = AnchorPipeline::new(&mapper, &refiner);
-        let mut sequential = pipeline.run(&reads);
-        sequential.mappings.sort_unstable();
-        sequential.paf.sort_unstable();
-        for threads in [None, Some(1), Some(3), Some(16)] {
-            assert_eq!(pipeline.run_parallel(&reads, threads), sequential);
-        }
-    }
-
-    #[test]
     fn rows_are_well_formed() {
         let (contigs, reads, config) = world();
         let mapper = JemMapper::build(&contigs, &config);
         let refiner = Refiner::new(mapper.scheme(), config.k, contigs.clone());
-        let out = AnchorPipeline::new(&mapper, &refiner).run(&reads);
+        let segments = make_segments(&reads, config.ell);
+        let out = AnchorPipeline::new(&mapper, &refiner).run_segments(&segments, 1);
         for row in &out.paf {
             assert!(row.q_start < row.q_end, "{row:?}");
             assert!(row.q_end <= row.q_len, "{row:?}");
@@ -292,8 +254,9 @@ mod tests {
         let mapper = JemMapper::build(&contigs, &config);
         let refiner = Refiner::new(mapper.scheme(), config.k, contigs.clone());
         let pipeline = AnchorPipeline::new(&mapper, &refiner);
-        assert_eq!(pipeline.run(&[]), AnchorOutput::default());
-        assert_eq!(pipeline.run_parallel(&[], None), AnchorOutput::default());
+        for workers in [1, 4] {
+            assert_eq!(pipeline.run_segments(&[], workers), AnchorOutput::default());
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Fig. 7 — (a) runtime breakdown by pipeline step at p = 16;
-//! (b) querying throughput as a function of p.
+//! (b) querying throughput as a function of p. Every cell keeps the faster
+//! of two runs ([`super::faster_of_two_runs`]).
 
 use crate::data::{env_seed, PreparedDataset};
 use crate::output::{f, print_table, save_json};
-use jem_core::{run_distributed_resilient, ResilienceOptions};
-use jem_psim::{CostModel, ExecMode};
+use jem_psim::CostModel;
 
 /// Process counts for the throughput series.
 pub const PROCS: &[usize] = &[4, 8, 16, 32, 64];
@@ -19,28 +19,8 @@ pub fn run() {
     for spec in super::performance_specs() {
         let prep = PreparedDataset::generate(&spec, env_seed());
 
-        // (a) breakdown at p = 16: the faster of two runs by makespan, as
-        // Table II keeps its cells — one wall-clock sample jitters with
-        // the host.
-        let outcome = (0..2)
-            .map(|_| {
-                run_distributed_resilient(
-                    &prep.subjects,
-                    &prep.reads,
-                    &config,
-                    16,
-                    cost,
-                    ExecMode::Sequential,
-                    &ResilienceOptions::default(),
-                )
-                .expect("a fault-free run cannot fail")
-            })
-            .min_by(|a, b| {
-                a.report
-                    .makespan_secs()
-                    .total_cmp(&b.report.makespan_secs())
-            })
-            .expect("two runs");
+        // (a) breakdown at p = 16.
+        let outcome = super::faster_of_two_runs(&prep, &config, 16, cost);
         let b = outcome.breakdown();
         rows_a.push(vec![
             prep.name().to_string(),
@@ -52,20 +32,10 @@ pub fn run() {
         ]);
 
         // (b) throughput vs p.
-        let mut series = Vec::new();
-        for &p in PROCS {
-            let o = run_distributed_resilient(
-                &prep.subjects,
-                &prep.reads,
-                &config,
-                p,
-                cost,
-                ExecMode::Sequential,
-                &ResilienceOptions::default(),
-            )
-            .expect("a fault-free run cannot fail");
-            series.push(o.query_throughput());
-        }
+        let series: Vec<f64> = PROCS
+            .iter()
+            .map(|&p| super::faster_of_two_runs(&prep, &config, p, cost).query_throughput())
+            .collect();
         let mut row = vec![prep.name().to_string()];
         row.extend(series.iter().map(|t| f(*t, 0)));
         rows_b.push(row);

@@ -11,8 +11,10 @@ pub mod fig9_identity;
 pub mod table1_datasets;
 pub mod table2_scaling;
 
+use crate::data::PreparedDataset;
 use jem_baseline::MashmapConfig;
-use jem_core::MapperConfig;
+use jem_core::{run_distributed_resilient, DistributedOutcome, MapperConfig, ResilienceOptions};
+use jem_psim::{CostModel, ExecMode};
 use jem_sim::{paper_analogues, DatasetId, DatasetSpec};
 
 /// The paper's default JEM configuration (§IV-A-c).
@@ -66,4 +68,35 @@ pub fn spec(id: DatasetId) -> DatasetSpec {
         .into_iter()
         .find(|s| s.id == id)
         .expect("known dataset id")
+}
+
+/// The faster of two fault-free distributed runs of `prep` on `p` ranks,
+/// by makespan — the one sampling rule of Table II and Figs. 7a and 7b:
+/// a single wall-clock sample jitters with the host, the faster of two is
+/// the stable estimator.
+pub fn faster_of_two_runs(
+    prep: &PreparedDataset,
+    config: &MapperConfig,
+    p: usize,
+    cost: CostModel,
+) -> DistributedOutcome {
+    (0..2)
+        .map(|_| {
+            run_distributed_resilient(
+                &prep.subjects,
+                &prep.reads,
+                config,
+                p,
+                cost,
+                ExecMode::Sequential,
+                &ResilienceOptions::default(),
+            )
+            .expect("a fault-free run cannot fail")
+        })
+        .min_by(|a, b| {
+            a.report
+                .makespan_secs()
+                .total_cmp(&b.report.makespan_secs())
+        })
+        .expect("two runs")
 }

@@ -31,26 +31,14 @@ pub fn run() {
             &ResilienceOptions::default(),
         )
         .expect("a fault-free run cannot fail");
-        let mut jem_secs = Vec::new();
-        for &p in PROCS {
-            let best = (0..2)
-                .map(|_| {
-                    run_distributed_resilient(
-                        &prep.subjects,
-                        &prep.reads,
-                        &config,
-                        p,
-                        cost,
-                        ExecMode::Sequential,
-                        &ResilienceOptions::default(),
-                    )
-                    .expect("a fault-free run cannot fail")
+        let jem_secs: Vec<f64> = PROCS
+            .iter()
+            .map(|&p| {
+                super::faster_of_two_runs(&prep, &config, p, cost)
                     .report
                     .makespan_secs()
-                })
-                .fold(f64::INFINITY, f64::min);
-            jem_secs.push(best);
-        }
+            })
+            .collect();
         // Two measurements, keep the min: single-shot wall times on a busy
         // host can double; the min is the stable estimator.
         let mash64 = (0..2)

@@ -6,8 +6,8 @@ use crate::io::{read_sequences, write_fasta, write_file_atomic, AtomicFile, SeqS
 use jem_anchor::{write_paf, AnchorPipeline, PafRow, RefineScratch, RefineStats, Refiner};
 use jem_core::{
     default_workers, load_index_path, make_segments, map_segments_parallel, read_index_config,
-    run_distributed_resilient, save_index, write_mappings_tsv, write_mappings_tsv_named, JemMapper,
-    MapperConfig, Mapping, QuerySet, ReadEnd, ResilienceOptions,
+    run_distributed_resilient, save_index, write_mappings_tsv, write_mappings_tsv_named,
+    CodeFilter, JemMapper, MapperConfig, Mapping, QuerySet, ReadEnd, ResilienceOptions,
 };
 use jem_eval::{parse_paf, Benchmark, MappingMetrics, PafAccuracy};
 use jem_psim::{CostModel, ExecMode, FaultPlan};
@@ -1163,8 +1163,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
         owned.start,
         owned.end
     );
-    let sharded = jem_serve::ShardedIndex::with_slots(mapper, shards, owned);
-    let handle = jem_serve::start(sharded, addr, &config).map_err(serve_err)?;
+    let filter = CodeFilter::slots(shards, owned);
+    let handle = jem_serve::start(mapper, filter, addr, &config).map_err(serve_err)?;
     eprintln!(
         "serving on {} ({} workers, queue {}, batch {})",
         handle.addr(),

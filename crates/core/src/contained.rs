@@ -9,7 +9,7 @@
 //! mapped like an end segment, so contigs landing anywhere inside the read
 //! are recovered.
 
-use crate::mapper::JemMapper;
+use crate::mapper::{JemMapper, MapScratch};
 use jem_index::SubjectId;
 
 /// One mapped window of a tiled read.
@@ -48,6 +48,7 @@ impl JemMapper {
         assert!(stride >= 1, "stride must be positive");
         let ell = self.config().ell;
         let mut counter = self.new_counter();
+        let mut scratch = MapScratch::new();
         let mut out = Vec::new();
         let mut qid = 0u64;
         let mut offset = 0usize;
@@ -56,7 +57,9 @@ impl JemMapper {
             if end <= offset + self.config().k.saturating_sub(1) {
                 break;
             }
-            if let Some((subject, hits)) = self.map_segment(&read[offset..end], qid, &mut counter) {
+            if let Some((subject, hits)) =
+                self.map_segment_with(&read[offset..end], qid, &mut counter, &mut scratch)
+            {
                 out.push(TiledMapping {
                     offset: offset as u32,
                     subject,

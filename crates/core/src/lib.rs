@@ -45,10 +45,7 @@ pub mod segment;
 pub use config::MapperConfig;
 pub use contained::{ContainedHit, TiledMapping};
 pub use mapper::{CodeFilter, JemMapper, MapScratch, Mapping, Probe};
-pub use parallel::{
-    default_workers, map_reads_parallel, map_reads_parallel_with, map_segments_parallel,
-    run_batches,
-};
+pub use parallel::{default_workers, map_segments_parallel, run_batches};
 pub use persist::{load_index, load_index_path, read_index_config, save_index};
 pub use report::{mapping_pairs, write_mappings_tsv, write_mappings_tsv_named};
 pub use resilient::{

@@ -446,19 +446,13 @@ impl JemMapper {
     }
 
     /// Map one end segment and return the top `x` candidate contigs,
-    /// ordered by descending hit count (ties toward smaller ids).
+    /// ordered by descending hit count (ties toward smaller ids), through
+    /// caller-provided scratch so a top-x sweep over many segments reuses
+    /// one warm scratch.
     ///
     /// This implements the paper's proposed recall extension ("if we are to
     /// extend our method to report a fixed number, say top x hits per read,
     /// several of the missing contig hits could possibly be recovered").
-    pub fn map_segment_topk(&self, seg: &[u8], x: usize) -> Vec<(SubjectId, u32)> {
-        let mut scratch = MapScratch::new();
-        self.map_segment_topk_with(seg, x, &mut scratch)
-    }
-
-    /// [`JemMapper::map_segment_topk`] with caller-provided scratch, so a
-    /// top-x sweep over many segments reuses one warm scratch. Identical
-    /// ranking for every input.
     pub fn map_segment_topk_with(
         &self,
         seg: &[u8],
@@ -667,22 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_contains_best_hit_first() {
-        let (_, subjects) = test_world();
-        let mapper = JemMapper::build(&subjects, &small_config());
-        let query = subjects[2].seq[..300.min(subjects[2].seq.len())].to_vec();
-        let mut counter = mapper.new_counter();
-        let best = mapper.map_segment(&query, 0, &mut counter).expect("maps");
-        let top = mapper.map_segment_topk(&query, 3);
-        assert!(!top.is_empty());
-        assert_eq!(top[0], best, "top-1 must agree with the best-hit driver");
-        assert!(top.len() <= 3);
-        for w in top.windows(2) {
-            assert!(w[0].1 >= w[1].1, "top-k must be sorted by hits");
-        }
-    }
-
-    #[test]
     fn from_table_round_trip() {
         let (_, subjects) = test_world();
         let config = small_config();
@@ -724,6 +702,24 @@ mod tests {
             hits >= 8,
             "syncmer sketches should collide on most trials, got {hits}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_shards_rejected() {
+        let _ = CodeFilter::slots(0, 0..0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn empty_owned_range_rejected() {
+        let _ = CodeFilter::slots(4, 2..2);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past")]
+    fn out_of_space_owned_range_rejected() {
+        let _ = CodeFilter::slots(4, 2..5);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! every worker count.
 
 use crate::mapper::{CodeFilter, JemMapper, MapScratch, Mapping};
-use crate::segment::{make_segments, QuerySegment};
+use crate::segment::QuerySegment;
 use jem_index::HitStats;
-use jem_seq::SeqRecord;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -130,87 +129,10 @@ pub fn map_segments_parallel(
     mappings
 }
 
-/// Map all reads in parallel, one worker per available core. Produces
-/// exactly the sequential driver's result set (order-normalized).
-pub fn map_reads_parallel(mapper: &JemMapper, reads: &[SeqRecord]) -> Vec<Mapping> {
-    map_reads_parallel_with(mapper, reads, None)
-}
-
-/// [`map_reads_parallel`] on `threads` workers (`None`: one per core).
-pub fn map_reads_parallel_with(
-    mapper: &JemMapper,
-    reads: &[SeqRecord],
-    threads: Option<usize>,
-) -> Vec<Mapping> {
-    let segments = make_segments(reads, mapper.config().ell);
-    map_segments_parallel(mapper, &segments, threads.unwrap_or_else(default_workers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MapperConfig;
-    use jem_sim::{
-        contig_records, fragment_contigs, read_records, simulate_hifi, ContigProfile, Genome,
-        HifiProfile,
-    };
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let genome = Genome::random(80_000, 0.5, 3);
-        let contigs = fragment_contigs(&genome, &ContigProfile::small_genome(), 4);
-        let config = MapperConfig {
-            k: 12,
-            w: 10,
-            trials: 10,
-            ell: 400,
-            seed: 2,
-        };
-        let mapper = JemMapper::build(&contig_records(&contigs), &config);
-        let profile = HifiProfile {
-            coverage: 3.0,
-            mean_len: 4_000,
-            std_len: 800,
-            min_len: 1_000,
-            error_rate: 0.001,
-        };
-        let reads = read_records(&simulate_hifi(&genome, &profile, 6));
-
-        let mut sequential = mapper.map_reads(&reads);
-        sequential.sort_unstable();
-        let parallel = map_reads_parallel(&mapper, &reads);
-        assert_eq!(parallel, sequential);
-    }
-
-    #[test]
-    fn thread_bound_does_not_change_results() {
-        let genome = Genome::random(40_000, 0.5, 11);
-        let contigs = fragment_contigs(&genome, &ContigProfile::small_genome(), 12);
-        let config = MapperConfig {
-            k: 12,
-            w: 10,
-            trials: 8,
-            ell: 400,
-            seed: 5,
-        };
-        let mapper = JemMapper::build(&contig_records(&contigs), &config);
-        let profile = HifiProfile {
-            coverage: 2.0,
-            mean_len: 3_000,
-            std_len: 600,
-            min_len: 1_000,
-            error_rate: 0.001,
-        };
-        let reads = read_records(&simulate_hifi(&genome, &profile, 13));
-        let unbounded = map_reads_parallel(&mapper, &reads);
-        for threads in [1usize, 2, 7, 64] {
-            assert_eq!(
-                map_reads_parallel_with(&mapper, &reads, Some(threads)),
-                unbounded,
-                "threads = {threads} must not change mappings"
-            );
-        }
-    }
 
     #[test]
     fn every_segment_is_visited_once_with_its_offset() {
@@ -246,6 +168,6 @@ mod tests {
             seed: 1,
         };
         let mapper = JemMapper::build(&[], &config);
-        assert!(map_reads_parallel(&mapper, &[]).is_empty());
+        assert!(map_segments_parallel(&mapper, &[], 4).is_empty());
     }
 }

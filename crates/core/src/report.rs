@@ -26,9 +26,8 @@ pub fn write_mappings_tsv<W: Write>(
 
 /// [`write_mappings_tsv`] without a local [`JemMapper`]: subject names and
 /// the trial count arrive as plain data. This is the writer used by remote
-/// consumers (`jem query` learns both from the server's Info response), and
-/// the byte-level agreement of the two paths is what the server/offline
-/// equivalence suite pins down.
+/// consumers (`jem query` learns both from the server's Info response);
+/// CI's serve smoke diffs the two paths' TSVs byte for byte.
 pub fn write_mappings_tsv_named<W: Write>(
     out: &mut W,
     mappings: &[Mapping],

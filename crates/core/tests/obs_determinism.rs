@@ -3,7 +3,7 @@
 //! to the no-op default. One test function owns the whole binary because
 //! the recorder install is process-global and first-install-wins.
 
-use jem_core::{map_reads_parallel, JemMapper, MapperConfig};
+use jem_core::{default_workers, make_segments, map_segments_parallel, JemMapper, MapperConfig};
 use jem_sim::{
     contig_records, fragment_contigs, read_records, simulate_hifi, ContigProfile, Genome,
     HifiProfile,
@@ -28,6 +28,7 @@ fn recorder_does_not_change_mappings() {
         error_rate: 0.001,
     };
     let reads = read_records(&simulate_hifi(&genome, &profile, 34));
+    let segments = make_segments(&reads, config.ell);
 
     // Pass 1: the global recorder is still the no-op default.
     assert!(
@@ -36,13 +37,13 @@ fn recorder_does_not_change_mappings() {
     );
     let mapper = JemMapper::build(&contig_records(&contigs), &config);
     let baseline_seq = mapper.map_reads(&reads);
-    let baseline_par = map_reads_parallel(&mapper, &reads);
+    let baseline_par = map_segments_parallel(&mapper, &segments, default_workers());
 
     // Pass 2: identical pipeline with a live recorder collecting everything.
     let rec = jem_obs::install_default().expect("first install");
     let mapper = JemMapper::build(&contig_records(&contigs), &config);
     let instrumented_seq = mapper.map_reads(&reads);
-    let instrumented_par = map_reads_parallel(&mapper, &reads);
+    let instrumented_par = map_segments_parallel(&mapper, &segments, default_workers());
 
     assert_eq!(instrumented_seq, baseline_seq, "sequential driver diverged");
     assert_eq!(instrumented_par, baseline_par, "parallel driver diverged");

@@ -1,8 +1,7 @@
 //! Property-based tests for the mapping core.
 
 use jem_core::{
-    make_segments, map_reads_parallel, run_distributed_resilient, JemMapper, MapperConfig, ReadEnd,
-    ResilienceOptions,
+    make_segments, run_distributed_resilient, JemMapper, MapperConfig, ReadEnd, ResilienceOptions,
 };
 use jem_psim::{CostModel, ExecMode, FaultPlan};
 use jem_seq::SeqRecord;
@@ -44,41 +43,6 @@ proptest! {
             let expect = if r.seq.is_empty() { 0 } else if r.seq.len() <= ell { 1 } else { 2 };
             prop_assert_eq!(count, expect);
         }
-    }
-
-    #[test]
-    fn drivers_agree_on_random_data(
-        subjects in prop::collection::vec(dna(300, 1500), 1..8),
-        reads in prop::collection::vec(dna(100, 2500), 0..8),
-        p in 1usize..6,
-    ) {
-        let subject_recs: Vec<SeqRecord> = subjects
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| SeqRecord::new(format!("c{i}"), s))
-            .collect();
-        let read_recs: Vec<SeqRecord> = reads
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| SeqRecord::new(format!("r{i}"), s))
-            .collect();
-        let config = MapperConfig { k: 11, w: 8, trials: 6, ell: 400, seed: 3 };
-        let mapper = JemMapper::build(&subject_recs, &config);
-        let mut sequential = mapper.map_reads(&read_recs);
-        sequential.sort_unstable();
-        let parallel = map_reads_parallel(&mapper, &read_recs);
-        prop_assert_eq!(&parallel, &sequential);
-        let distributed = run_distributed_resilient(
-            &subject_recs,
-            &read_recs,
-            &config,
-            p,
-            CostModel::zero(),
-            ExecMode::Sequential,
-            &ResilienceOptions::default(),
-        )
-        .expect("a fault-free run cannot fail");
-        prop_assert_eq!(&distributed.mappings, &sequential);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Insert-only open-addressing hash map keyed by `u64`.
 //!
-//! The sketch table's keys are k-mer codes — already well-mixed integers —
-//! so the standard library's HashDoS-resistant SipHash is pure overhead on
-//! the hot lookup path. `U64Map` uses Fibonacci (multiplicative) hashing
+//! Its user, `jem-dbg`'s k-mer counter, keys it by k-mer codes — already
+//! well-mixed integers — so the standard library's HashDoS-resistant
+//! SipHash is pure overhead on the hot path. (The sketch table is
+//! [`crate::FlatTable`], which places codes by the same scheme in its own
+//! bucket array.) `U64Map` uses Fibonacci (multiplicative) hashing
 //! into a power-of-two table with linear probing. There is no deletion:
-//! the mapping workloads only build and query.
+//! the counter only inserts and queries.
 
 /// Fibonacci multiplier: `floor(2^64 / φ)`, odd.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;

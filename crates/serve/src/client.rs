@@ -7,7 +7,7 @@
 //! index pass. The client closes the connection once it has the answer;
 //! servers and routers keep connections alive and never close first, so
 //! each request leaves its TCP `TIME_WAIT` on the client's host. `jem query` and the
-//! equivalence suite are built on this.
+//! differential oracle's served checks are built on this.
 //!
 //! The client writes its identity ([`Client::with_client_id`]) and its
 //! deadline ([`Client::with_deadline`]) into every request's [`Envelope`].

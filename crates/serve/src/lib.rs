@@ -3,11 +3,11 @@
 //! The offline pipeline (`jem index` → `jem map`) rebuilds or reloads the
 //! sketch index for every invocation; for interactive triage and
 //! map-on-demand workloads that load dominates. This crate keeps a
-//! persisted index resident: [`ShardedIndex`] loads it once into a
-//! shard-partitioned read-only sketch table shared across a fixed worker
-//! pool, and [`server::start`] serves mapping requests over TCP with a
-//! length-prefixed, checksummed binary frame protocol ([`protocol`], magic
-//! `JEMSRV4\0`, one revision).
+//! persisted index resident: [`server::start`] shares one loaded
+//! [`jem_core::JemMapper`] read-only across a fixed worker pool, probing
+//! only the codes its [`jem_core::CodeFilter`] owns, and serves mapping
+//! requests over TCP with a length-prefixed, checksummed binary frame
+//! protocol ([`protocol`], magic `JEMSRV4\0`, one revision).
 //!
 //! Load-shedding is explicit: requests queue on per-client bounded lanes
 //! ([`queue::FairQueue`]); when a client's lane is full the server answers
@@ -22,15 +22,17 @@
 //! accept loop with a connection cap, and one keep-alive connection loop
 //! with idle reaping and in-order answers to pipelined requests.
 //!
-//! [`Client`] is the blocking client library the `jem query` CLI and the
-//! equivalence suite are built on. Server-side mappings are sorted into
-//! the total order documented on [`jem_core::Mapping`], so a served batch
-//! renders byte-identically to the offline `jem map` TSV.
+//! [`Client`] is the blocking client library the `jem query` CLI is built
+//! on. Server-side mappings are sorted into the total order documented on
+//! [`jem_core::Mapping`], so a served batch renders byte-identically to the
+//! offline `jem map` TSV; the workspace's differential oracle
+//! (`tests/oracle.rs`) checks served and routed answers against the
+//! paper's per-trial definition.
 //!
 //! For deployments too big (or too failure-prone) for one process, the
 //! router tier ([`router`]) scatter-gathers each query across independent
 //! shard servers, each owning a slice of the slot space
-//! ([`ShardedIndex::with_slots`], [`registry::ShardRegistry`]): each
+//! ([`jem_core::CodeFilter::slots`], [`registry::ShardRegistry`]): each
 //! colliding subject's trial masks from disjoint slices OR back into
 //! exactly the single-process answer ([`router::merge_partials`]). The router gates
 //! unhealthy shards behind per-shard circuit breakers, hedges stragglers
@@ -47,7 +49,6 @@ pub mod queue;
 pub mod registry;
 pub mod router;
 pub mod server;
-pub mod shard;
 
 pub use admission::{AdmissionControl, QuotaConfig};
 pub use chaos::{ChaosAction, ChaosPlan, ChaosProxy};
@@ -63,7 +64,6 @@ pub use router::{
     ShardConnPool,
 };
 pub use server::{start, ServerConfig, ServerHandle};
-pub use shard::ShardedIndex;
 
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! The shard registry: which shard process owns which slot range.
 //!
 //! A router topology partitions the global slot space (the same space
-//! [`crate::ShardedIndex::with_slots`] hashes codes into) across
+//! [`jem_core::CodeFilter::slots`] hashes codes into) across
 //! independent `jem serve` processes. The registry is the router's map of
 //! that partition: one [`ShardSpec`] per shard — its slot range, primary
 //! address, and optional hedge replica — plus an epoch counter naming the

@@ -33,10 +33,12 @@
 //!   handles, so the clients are answered, never hung), the panic is
 //!   counted (`serve.worker_panic`), and the supervisor respawns a
 //!   replacement (`serve.worker_respawns`) so pool capacity never decays.
-//! * **index epochs** — the served [`ShardedIndex`] lives behind an
+//! * **index epochs** — the served [`JemMapper`] lives behind an
 //!   `RwLock`ed, `Arc`-swapped epoch. Workers pin the current epoch per
 //!   batch, so a [`Request::Reload`](crate::Request) swap lands atomically
-//!   between batches and a failed load leaves the old epoch serving.
+//!   between batches and a failed load leaves the old epoch serving. The
+//!   server's [`CodeFilter`] (the slots it owns) outlives reloads; codes
+//!   outside it are never probed, so a shard keeps no private table memory.
 //! * **shutdown** — [`ServerHandle::shutdown`] (or a remote
 //!   [`crate::Request::Shutdown`]) stops the accept loop and closes the
 //!   queue; workers drain everything already queued, so every admitted
@@ -54,12 +56,10 @@ use crate::admission::{AdmissionControl, QuotaConfig};
 use crate::ingress::{ingress_counters, Ingress, IngressConfig, Reply};
 use crate::protocol::{Envelope, Request, Response, SegmentPartials, ServerInfo};
 use crate::queue::{FairQueue, PushError};
-use crate::shard::ShardedIndex;
 use crate::ServeError;
-use jem_core::{MapScratch, QuerySegment};
+use jem_core::{CodeFilter, JemMapper, MapScratch, QuerySegment};
 use jem_obs::{MetricsRecorder, Recorder, Snapshot, Span};
 use std::net::{SocketAddr, TcpListener};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
@@ -172,7 +172,7 @@ struct Job {
 /// reload; workers pin the epoch per batch, so a swap never tears a batch.
 struct Epoch {
     id: u64,
-    index: Arc<ShardedIndex>,
+    mapper: Arc<JemMapper>,
 }
 
 /// State shared by the request handler, the worker pool, the supervisor,
@@ -188,30 +188,28 @@ struct Shared {
     batch: usize,
     straggle_ms: u64,
     panic_every: u64,
-    /// Global slot-space size reloads repartition into (fixed for the
-    /// server's life — every shard of a router topology must agree on it).
-    n_slots: usize,
-    /// The slot range this server owns. A standalone server owns
-    /// everything (`0..n_slots`); a router-tier shard owns its registry
-    /// slice and answers `MapPartial` from just that slice.
-    owned: Range<usize>,
+    /// The slots this server owns. A standalone server owns the whole
+    /// space; a router-tier shard owns its registry slice and answers
+    /// `MapPartial` from just that slice. Every shard of a topology agrees
+    /// on the space's size.
+    filter: CodeFilter,
 }
 
 impl Shared {
     /// Pin the current epoch: one `Arc` clone under a read lock.
-    fn pin_epoch(&self) -> (u64, Arc<ShardedIndex>) {
+    fn pin_epoch(&self) -> (u64, Arc<JemMapper>) {
         let e = self.epoch.read().expect("epoch lock poisoned");
-        (e.id, Arc::clone(&e.index))
+        (e.id, Arc::clone(&e.mapper))
     }
 
     /// The served index's parameters as of the current epoch.
     fn current_info(&self) -> ServerInfo {
-        let (_, index) = self.pin_epoch();
+        let (_, mapper) = self.pin_epoch();
         ServerInfo {
-            config: *index.mapper().config(),
-            scheme: index.mapper().scheme(),
-            subject_names: index.mapper().subject_names().to_vec(),
-            shards: index.n_shards(),
+            config: *mapper.config(),
+            scheme: mapper.scheme(),
+            subject_names: mapper.subject_names().to_vec(),
+            shards: self.filter.n_slots(),
             batch: self.batch,
         }
     }
@@ -264,10 +262,13 @@ impl ServerHandle {
     }
 }
 
-/// Bind `addr` and start serving `index`. Returns once the listener is
-/// live; mapping happens on background threads until shutdown.
+/// Bind `addr` and start serving `mapper`'s index through the slots
+/// `filter` owns ([`CodeFilter::slots`]; a standalone server owns them
+/// all). Returns once the listener is live; mapping happens on background
+/// threads until shutdown.
 pub fn start(
-    index: ShardedIndex,
+    mapper: JemMapper,
+    filter: CodeFilter,
     addr: &str,
     config: &ServerConfig,
 ) -> Result<ServerHandle, ServeError> {
@@ -287,18 +288,16 @@ pub fn start(
     )?;
 
     // Startup gauges: shard balance of the resident table, pool size.
-    for count in index.shard_entry_counts() {
+    for count in slot_entry_counts(&mapper, &filter) {
         recorder.observe("serve.shard_entries", count as u64);
     }
     recorder.add("serve.started", 1);
     recorder.add("serve.workers_configured", config.workers as u64);
 
-    let n_slots = index.n_shards();
-    let owned = index.owned_slots();
     let shared = Arc::new(Shared {
         epoch: RwLock::new(Epoch {
             id: 0,
-            index: Arc::new(index),
+            mapper: Arc::new(mapper),
         }),
         // Quantum = batch: one sweep visit lets a lane contribute about
         // one index pass worth of segments before the next lane's turn.
@@ -310,8 +309,7 @@ pub fn start(
         batch: config.batch,
         straggle_ms: config.straggle_ms,
         panic_every: config.panic_every,
-        n_slots,
-        owned,
+        filter,
     });
 
     let supervisor = {
@@ -446,32 +444,41 @@ fn admit(
     }
 }
 
-/// Load, shard, and validate a persisted index for startup or a hot
-/// reload. `load_index_path` memory-maps JEMIDX v5 artifacts (zero
-/// posting-arena copy; hot reload is a remap), reads them into an owned
-/// buffer on non-mmap platforms, and converts legacy v3 and v4 files in
-/// memory. Header/checksum validation happens before the mapper is built,
-/// so a truncated or corrupt artifact is a typed error here — never a
-/// panic, never a swap.
-fn load_sharded(path: &str, n_slots: usize, owned: Range<usize>) -> Result<ShardedIndex, String> {
-    let mapper =
-        jem_core::load_index_path(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-    Ok(ShardedIndex::with_slots(mapper, n_slots, owned))
+/// `(trial, code, subject)` association count per owned slot — the
+/// shard balance signal (`serve.shard_entries` histogram at startup).
+/// Computed by one walk over the table's codes; entries outside the owned
+/// range are not counted, matching what probes can reach.
+fn slot_entry_counts(mapper: &JemMapper, filter: &CodeFilter) -> Vec<usize> {
+    let owned = filter.owned();
+    let mut counts = vec![0usize; owned.len()];
+    mapper.table().for_each_code(|code, n| {
+        let slot = filter.slot_of(code);
+        if owned.contains(&slot) {
+            counts[slot - owned.start] += n;
+        }
+    });
+    counts
 }
 
 /// Run one reload on its own thread: load + validate the new index, then
-/// atomically bump the epoch. In-flight batches keep their pinned old
-/// epoch; a failed load answers `Error` and leaves the old index serving.
+/// atomically bump the epoch; the server keeps its filter. In-flight
+/// batches keep their pinned old epoch; a failed load answers `Error` and
+/// leaves the old index serving. `load_index_path` memory-maps JEMIDX v5
+/// artifacts (zero posting-arena copy; hot reload is a remap), reads them
+/// into an owned buffer on non-mmap platforms, and converts legacy v3 and
+/// v4 files in memory. Header/checksum validation happens before the
+/// mapper is built, so a truncated or corrupt artifact is a typed error
+/// here — never a panic, never a swap.
 fn spawn_reload(shared: Arc<Shared>, reply: Reply, path: String) {
     std::thread::spawn(move || {
-        let resp = match load_sharded(&path, shared.n_slots, shared.owned.clone()) {
-            Ok(index) => {
-                let subjects = index.mapper().n_subjects();
-                let entries: usize = index.shard_entry_counts().iter().sum();
+        let resp = match jem_core::load_index_path(std::path::Path::new(&path)) {
+            Ok(mapper) => {
+                let subjects = mapper.n_subjects();
+                let entries: usize = slot_entry_counts(&mapper, &shared.filter).iter().sum();
                 let new_id = {
                     let mut e = shared.epoch.write().expect("epoch lock poisoned");
                     e.id += 1;
-                    e.index = Arc::new(index);
+                    e.mapper = Arc::new(mapper);
                     e.id
                 };
                 shared.recorder.add("serve.reloads", 1);
@@ -479,9 +486,9 @@ fn spawn_reload(shared: Arc<Shared>, reply: Reply, path: String) {
                     "epoch {new_id}: {subjects} subjects, {entries} sketch entries from {path}"
                 ))
             }
-            Err(msg) => {
+            Err(e) => {
                 shared.recorder.add("serve.reload_errors", 1);
-                Response::Error(format!("reload {path}: {msg}"))
+                Response::Error(format!("reload {path}: {e}"))
             }
         };
         reply.send(&resp);
@@ -595,9 +602,9 @@ fn worker_loop(shared: &Shared) {
         if jobs.is_empty() {
             return; // queue closed and drained
         }
-        let (eid, index) = shared.pin_epoch();
+        let (eid, mapper) = shared.pin_epoch();
         if eid != epoch_id || counter.is_none() {
-            counter = Some(index.new_counter());
+            counter = Some(mapper.new_counter());
             epoch_id = eid;
             qid_base = 0;
         }
@@ -634,10 +641,10 @@ fn worker_loop(shared: &Shared) {
             let resp = match job.kind {
                 JobKind::Map => {
                     let mut mappings = Vec::new();
-                    index.mapper().map_batch(
+                    mapper.map_batch(
                         &job.segments,
                         qid_base,
-                        index.filter(),
+                        &shared.filter,
                         counter,
                         &mut scratch,
                         &mut mappings,
@@ -658,8 +665,8 @@ fn worker_loop(shared: &Shared) {
                         .map(|seg| SegmentPartials {
                             read_idx: seg.read_idx,
                             end: seg.end,
-                            trials: index.mapper().config().trials,
-                            hits: index.segment_partials_with(&seg.seq, &mut scratch),
+                            trials: mapper.config().trials,
+                            hits: mapper.segment_partials(&seg.seq, &shared.filter, &mut scratch),
                         })
                         .collect(),
                 ),
@@ -676,5 +683,47 @@ fn worker_loop(shared: &Shared) {
         recorder.add("serve.lazy_resets", stats.lazy_resets);
         recorder.add("serve.resets_skipped", stats.resets_skipped);
         recorder.add("serve.ties", stats.ties);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jem_core::MapperConfig;
+    use jem_seq::SeqRecord;
+    use jem_sim::Genome;
+
+    /// Splitting the slot space into pieces loses and duplicates no entry:
+    /// the whole space as one piece, one slot, and far more slots than the
+    /// table has distinct codes, where pieces hold few entries or none.
+    #[test]
+    fn slot_pieces_partition_the_table_exactly() {
+        let subjects: Vec<SeqRecord> = (0..6)
+            .map(|i| SeqRecord::new(format!("c{i}"), Genome::random(4000, 0.5, i).seq))
+            .collect();
+        let config = MapperConfig {
+            k: 12,
+            w: 8,
+            trials: 8,
+            ell: 300,
+            seed: 5,
+        };
+        let mapper = JemMapper::build(&subjects, &config);
+        let total = mapper.table().entry_count();
+        for (n_slots, cuts) in [
+            (1usize, vec![0usize, 1]),
+            (4, vec![0, 4]),
+            (4, vec![0, 1, 4]),
+            (256, vec![0, 3, 64, 256]),
+        ] {
+            let mut sum = 0usize;
+            for pair in cuts.windows(2) {
+                let filter = CodeFilter::slots(n_slots, pair[0]..pair[1]);
+                let counts = slot_entry_counts(&mapper, &filter);
+                assert_eq!(counts.len(), pair[1] - pair[0]);
+                sum += counts.iter().sum::<usize>();
+            }
+            assert_eq!(sum, total, "{n_slots} slots split at {cuts:?}");
+        }
     }
 }

@@ -11,11 +11,9 @@
 //! `JEM_CHAOS_METRICS` pointing at a snapshot path it uploads and asserts
 //! on (`serve.worker_panic` > 0, clean exits == configured workers).
 
-use jem_core::{make_segments, JemMapper, MapperConfig, QuerySegment};
+use jem_core::{make_segments, CodeFilter, JemMapper, MapperConfig, QuerySegment};
 use jem_seq::SeqRecord;
-use jem_serve::{
-    ChaosAction, ChaosPlan, ChaosProxy, Client, ServeError, ServerConfig, ShardedIndex,
-};
+use jem_serve::{ChaosAction, ChaosPlan, ChaosProxy, Client, ServeError, ServerConfig};
 use jem_sim::{
     contig_records, fragment_contigs, simulate_hifi, ContigProfile, Genome, HifiProfile,
 };
@@ -65,7 +63,8 @@ fn chaos_invariant_under_seeded_plan_and_worker_panics() {
 
     const WORKERS: usize = 3;
     let handle = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig {
             workers: WORKERS,
@@ -159,7 +158,8 @@ fn each_fault_kind_produces_its_documented_outcome() {
     let seg = segments[..1].to_vec();
     let expected = offline(&mapper, &seg);
     let handle = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig::default(),
     )
@@ -219,7 +219,8 @@ fn a_relayed_connection_ends_with_its_answer() {
     let seg = segments[..1].to_vec();
     let idle_timeout = Duration::from_millis(500);
     let handle = jem_serve::start(
-        ShardedIndex::new(mapper, 1),
+        mapper,
+        CodeFilter::slots(1, 0..1),
         "127.0.0.1:0",
         &ServerConfig {
             idle_timeout,

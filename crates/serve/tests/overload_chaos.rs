@@ -14,11 +14,11 @@
 //! and `JEM_OVERLOAD_ROUTER_METRICS` pointing at snapshot paths it
 //! uploads and asserts on (`serve.throttled` > 0, `router.pool_hit` > 0).
 
-use jem_core::{make_segments, JemMapper, MapperConfig, QuerySegment};
+use jem_core::{make_segments, CodeFilter, JemMapper, MapperConfig, QuerySegment};
 use jem_seq::SeqRecord;
 use jem_serve::{
     read_frame, start_router, write_frame, Client, Envelope, QuotaConfig, Request, Response,
-    RouterConfig, ServeError, ServerConfig, ShardRegistry, ShardSpec, ShardedIndex,
+    RouterConfig, ServeError, ServerConfig, ShardRegistry, ShardSpec,
 };
 use jem_sim::{
     contig_records, fragment_contigs, simulate_hifi, ContigProfile, Genome, HifiProfile,
@@ -68,7 +68,8 @@ fn greedy_clients_throttle_while_the_polite_client_sails() {
     let seg = segments[..2].to_vec();
     let expected = offline(&mapper, &seg);
     let handle = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig {
             io_timeout: Duration::from_secs(5),
@@ -193,7 +194,8 @@ fn pooled_router_answers_identically_across_a_shard_restart() {
 
     let boot = |owned: std::ops::Range<usize>| {
         jem_serve::start(
-            ShardedIndex::with_slots(mapper.clone(), 2, owned),
+            mapper.clone(),
+            CodeFilter::slots(2, owned),
             "127.0.0.1:0",
             &ServerConfig::default(),
         )
@@ -237,7 +239,8 @@ fn pooled_router_answers_identically_across_a_shard_restart() {
     let snapshot = shard1.shutdown();
     assert!(snapshot.counter("serve.requests") > 0);
     let shard1 = jem_serve::start(
-        ShardedIndex::with_slots(mapper.clone(), 2, 1..2),
+        mapper.clone(),
+        CodeFilter::slots(2, 1..2),
         &shard1_addr,
         &ServerConfig::default(),
     )
@@ -275,7 +278,8 @@ fn pooled_router_answers_identically_across_a_shard_restart() {
 fn slow_loris_connections_are_reaped_while_pings_keep_landing() {
     let (mapper, _) = world();
     let handle = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig {
             idle_timeout: Duration::from_millis(200),
@@ -325,7 +329,8 @@ fn anonymous_over_quota_clients_are_throttled_with_a_hint() {
         burst: 1.0,
     };
     let server = jem_serve::start(
-        ShardedIndex::new(mapper.clone(), 2),
+        mapper.clone(),
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig {
             quota: stingy,
@@ -334,7 +339,8 @@ fn anonymous_over_quota_clients_are_throttled_with_a_hint() {
     )
     .unwrap();
     let shard = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig::default(),
     )
@@ -379,7 +385,8 @@ fn pipelined_responses_arrive_in_request_order() {
     let (mapper, segments) = world();
     let seg = segments[..1].to_vec();
     let server = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig {
             straggle_ms: 100, // hold the Map answers so the Pongs race them
@@ -453,7 +460,8 @@ fn a_connection_owed_an_answer_is_never_reaped() {
         ..Default::default()
     };
     let server = jem_serve::start(
-        ShardedIndex::new(mapper.clone(), 2),
+        mapper.clone(),
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &straggling,
     )
@@ -461,7 +469,8 @@ fn a_connection_owed_an_answer_is_never_reaped() {
     // The router's shard keeps the default idle deadline: the router's
     // pooled connection to it idles between fetches.
     let shard = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig {
             straggle_ms: straggling.straggle_ms,
@@ -565,7 +574,8 @@ fn pipelining_past_the_inflight_cap_is_shed_with_typed_busy() {
     let (mapper, segments) = world();
     let seg = segments[..1].to_vec();
     let handle = jem_serve::start(
-        ShardedIndex::new(mapper, 2),
+        mapper,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig {
             max_inflight: 1,

@@ -3,9 +3,9 @@
 //! a failed reload leaves the old index serving, and `Info` reflects the
 //! current epoch.
 
-use jem_core::{make_segments, save_index, JemMapper, MapperConfig, QuerySegment};
+use jem_core::{make_segments, save_index, CodeFilter, JemMapper, MapperConfig, QuerySegment};
 use jem_seq::SeqRecord;
-use jem_serve::{Client, ServeError, ServerConfig, ShardedIndex};
+use jem_serve::{Client, ServeError, ServerConfig};
 use jem_sim::{
     contig_records, fragment_contigs, simulate_hifi, ContigProfile, Genome, HifiProfile,
 };
@@ -73,7 +73,8 @@ fn reload_swaps_epochs_with_zero_dropped_or_incorrect_responses() {
     let new_path = persist(&new, "reload-new.idx");
 
     let handle = jem_serve::start(
-        ShardedIndex::new(old, 3),
+        old,
+        CodeFilter::slots(3, 0..3),
         "127.0.0.1:0",
         &ServerConfig {
             workers: 2,
@@ -155,7 +156,8 @@ fn failed_reload_keeps_the_old_index_serving() {
         .unwrap();
 
     let handle = jem_serve::start(
-        ShardedIndex::new(old, 2),
+        old,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig::default(),
     )
@@ -203,7 +205,8 @@ fn corrupt_index_reload_is_rejected_and_keeps_the_old_index_serving() {
     std::fs::write(&truncated, &bytes[..bytes.len() - 9]).unwrap();
 
     let handle = jem_serve::start(
-        ShardedIndex::new(old, 2),
+        old,
+        CodeFilter::slots(2, 0..2),
         "127.0.0.1:0",
         &ServerConfig::default(),
     )
@@ -236,7 +239,8 @@ fn info_reflects_the_current_epoch() {
     let new_path = persist(&new, "reload-info.idx");
 
     let handle = jem_serve::start(
-        ShardedIndex::new(old, 5),
+        old,
+        CodeFilter::slots(5, 0..5),
         "127.0.0.1:0",
         &ServerConfig::default(),
     )

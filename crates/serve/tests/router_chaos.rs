@@ -14,12 +14,12 @@
 //! uploads and asserts on (degraded answers, hedges, breaker opens and
 //! closes all > 0).
 
-use jem_core::{make_segments, JemMapper, MapperConfig, Mapping, QuerySegment};
+use jem_core::{make_segments, CodeFilter, JemMapper, MapperConfig, Mapping, QuerySegment};
 use jem_seq::SeqRecord;
 use jem_serve::{
     merge_partials, start_router, ChaosAction, ChaosPlan, ChaosProxy, Client, RetryPolicy,
     RouterConfig, SegmentPartials, ServeError, ServerConfig, ServerHandle, ShardRegistry,
-    ShardSpec, ShardedIndex,
+    ShardSpec,
 };
 use jem_sim::{
     contig_records, fragment_contigs, simulate_hifi, ContigProfile, Genome, HifiProfile,
@@ -57,7 +57,8 @@ const RANGES: [std::ops::Range<usize>; 3] = [0..1, 1..2, 2..3];
 /// One shard server owning `RANGES[i]` of the three-slot space.
 fn boot_shard(mapper: &JemMapper, i: usize) -> ServerHandle {
     jem_serve::start(
-        ShardedIndex::with_slots(mapper.clone(), N_SLOTS, RANGES[i].clone()),
+        mapper.clone(),
+        CodeFilter::slots(N_SLOTS, RANGES[i].clone()),
         "127.0.0.1:0",
         &ServerConfig::default(),
     )

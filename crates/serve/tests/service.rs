@@ -3,11 +3,11 @@
 //! frames of retired protocol revisions are answered (not crashed on), and
 //! the final metrics snapshot is valid.
 
-use jem_core::{make_segments, JemMapper, MapperConfig, QuerySegment};
+use jem_core::{make_segments, CodeFilter, JemMapper, MapperConfig, QuerySegment};
 use jem_seq::SeqRecord;
 use jem_serve::{
     read_frame, start_router, write_frame, Client, Envelope, Request, Response, RouterConfig,
-    ServeError, ServerConfig, ShardRegistry, ShardedIndex, MAGIC,
+    ServeError, ServerConfig, ShardRegistry, MAGIC,
 };
 use jem_sim::{
     contig_records, fragment_contigs, simulate_hifi, ContigProfile, Genome, HifiProfile,
@@ -41,7 +41,7 @@ fn world() -> (JemMapper, Vec<QuerySegment>) {
 }
 
 fn start(mapper: JemMapper, config: &ServerConfig) -> jem_serve::ServerHandle {
-    jem_serve::start(ShardedIndex::new(mapper, 2), "127.0.0.1:0", config).unwrap()
+    jem_serve::start(mapper, CodeFilter::slots(2, 0..2), "127.0.0.1:0", config).unwrap()
 }
 
 #[test]
@@ -419,7 +419,12 @@ fn zero_valued_config_is_rejected_not_deadlocked() {
             ..Default::default()
         },
     ] {
-        match jem_serve::start(ShardedIndex::new(mapper.clone(), 2), "127.0.0.1:0", &config) {
+        match jem_serve::start(
+            mapper.clone(),
+            CodeFilter::slots(2, 0..2),
+            "127.0.0.1:0",
+            &config,
+        ) {
             Err(err) => assert!(matches!(err, ServeError::Config(_)), "got {err}"),
             Ok(_) => panic!("zero-valued config must be rejected"),
         }

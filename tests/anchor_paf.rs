@@ -1,10 +1,11 @@
-//! Stage-2 integration: the anchor pipeline must be strictly additive over
-//! the legacy stage-1 drivers (byte-identical TSV), its PAF output must
-//! survive the eval parser's structural validation, and the placements
-//! must score accurately against simulated truth coordinates.
+//! Stage-2 integration: the anchor pipeline's PAF output must survive the
+//! eval parser's structural validation, and the placements must score
+//! accurately against simulated truth coordinates. That its TSV half
+//! equals stage 1's at every worker count is the differential oracle's
+//! job (`oracle.rs`).
 
 use jem_anchor::{write_paf, AnchorPipeline, Refiner};
-use jem_core::{map_reads_parallel, write_mappings_tsv, JemMapper, MapperConfig};
+use jem_core::{make_segments, JemMapper, MapperConfig};
 use jem_eval::{parse_paf, PafAccuracy};
 use jem_seq::SeqRecord;
 use jem_sim::{
@@ -58,46 +59,13 @@ fn world(seed: u64) -> World {
     }
 }
 
-fn tsv_bytes(mappings: &[jem_core::Mapping], reads: &[SeqRecord], mapper: &JemMapper) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_mappings_tsv(&mut buf, mappings, reads, mapper).unwrap();
-    buf
-}
-
-#[test]
-fn tsv_output_is_byte_identical_with_and_without_stage2() {
-    let w = world(41);
-    let mapper = JemMapper::build(&w.subjects, &w.config);
-    let refiner = Refiner::new(mapper.scheme(), w.config.k, w.subjects.clone());
-    let pipeline = AnchorPipeline::new(&mapper, &refiner);
-
-    // Sequential: the fused driver's stage-1 view vs the legacy driver.
-    let legacy = mapper.map_reads(&w.query_reads);
-    let fused = pipeline.run(&w.query_reads);
-    assert_eq!(
-        tsv_bytes(&fused.mappings, &w.query_reads, &mapper),
-        tsv_bytes(&legacy, &w.query_reads, &mapper),
-        "stage 2 must not perturb the legacy TSV byte stream"
-    );
-    assert!(!fused.paf.is_empty(), "no segment refined at all");
-
-    // Parallel: same equivalence against the parallel stage-1 driver.
-    let legacy_par = map_reads_parallel(&mapper, &w.query_reads);
-    let fused_par = pipeline.run_parallel(&w.query_reads, None);
-    assert_eq!(
-        tsv_bytes(&fused_par.mappings, &w.query_reads, &mapper),
-        tsv_bytes(&legacy_par, &w.query_reads, &mapper),
-    );
-    // And the parallel driver's full output matches the sequential one.
-    assert_eq!(fused_par, fused);
-}
-
 #[test]
 fn paf_output_parses_and_scores_accurately_against_truth() {
     let w = world(42);
     let mapper = JemMapper::build(&w.subjects, &w.config);
     let refiner = Refiner::new(mapper.scheme(), w.config.k, w.subjects.clone());
-    let out = AnchorPipeline::new(&mapper, &refiner).run(&w.query_reads);
+    let segments = make_segments(&w.query_reads, w.config.ell);
+    let out = AnchorPipeline::new(&mapper, &refiner).run_segments(&segments, 1);
 
     // Serialize and re-parse: every emitted line must clear the eval
     // parser's structural validation (column count, strand, intervals).

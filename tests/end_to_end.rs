@@ -1,8 +1,8 @@
-//! End-to-end integration: simulate → map → evaluate, across all drivers.
+//! End-to-end integration: simulate → map → evaluate. That every driver
+//! answers alike is the differential oracle's job (`oracle.rs`).
 
 use jem_core::{
-    map_reads_parallel, mapping_pairs, run_distributed_resilient, JemMapper, MapperConfig,
-    ResilienceOptions,
+    mapping_pairs, run_distributed_resilient, JemMapper, MapperConfig, ResilienceOptions,
 };
 use jem_eval::{Benchmark, MappingMetrics};
 use jem_psim::{CostModel, ExecMode};
@@ -83,39 +83,6 @@ fn jem_quality_on_simulated_data() {
 }
 
 #[test]
-fn all_three_drivers_agree() {
-    let w = world(200);
-    let config = MapperConfig {
-        trials: 10,
-        ..Default::default()
-    };
-    let mapper = JemMapper::build(&w.subjects, &config);
-    let mut sequential = mapper.map_reads(&w.query_reads);
-    sequential.sort_unstable_by_key(|m| (m.read_idx, m.end));
-    let parallel = map_reads_parallel(&mapper, &w.query_reads);
-    assert_eq!(
-        parallel, sequential,
-        "parallel driver must equal sequential"
-    );
-    for p in [1, 4, 16] {
-        let distributed = run_distributed_resilient(
-            &w.subjects,
-            &w.query_reads,
-            &config,
-            p,
-            CostModel::ethernet_10g(),
-            ExecMode::Sequential,
-            &ResilienceOptions::default(),
-        )
-        .expect("a fault-free run cannot fail");
-        assert_eq!(
-            distributed.mappings, sequential,
-            "distributed p={p} must equal sequential"
-        );
-    }
-}
-
-#[test]
 fn scaling_report_is_sane() {
     // Enough query work per rank that timing noise cannot flip the
     // comparison (release-mode per-segment times are microseconds).
@@ -161,15 +128,6 @@ fn scaling_report_is_sane() {
     // Communication exists but is a minority share.
     assert!(o16.report.comm_fraction() > 0.0);
     assert!(o16.report.comm_fraction() < 0.5);
-}
-
-#[test]
-fn deterministic_across_runs() {
-    let w = world(400);
-    let config = MapperConfig::default();
-    let a = JemMapper::build(&w.subjects, &config).map_reads(&w.query_reads);
-    let b = JemMapper::build(&w.subjects, &config).map_reads(&w.query_reads);
-    assert_eq!(a, b);
 }
 
 #[test]
