@@ -1,11 +1,13 @@
-//! Stage-2 integration: the anchor pipeline's PAF output must survive the
-//! eval parser's structural validation, and the placements must score
-//! accurately against simulated truth coordinates. That its TSV half
-//! equals stage 1's at every worker count is the differential oracle's
-//! job (`oracle.rs`).
+//! Stage-2 integration: the anchor pipeline must be strictly additive over
+//! the stage-1 drivers (byte-identical TSV), its PAF output must survive
+//! the eval parser's structural validation, and the placements must score
+//! accurately against simulated truth coordinates.
 
 use jem_anchor::{write_paf, AnchorPipeline, Refiner};
-use jem_core::{make_segments, JemMapper, MapperConfig};
+use jem_core::{
+    default_workers, make_segments, map_segments_parallel, write_mappings_tsv, JemMapper,
+    MapperConfig,
+};
 use jem_eval::{parse_paf, PafAccuracy};
 use jem_seq::SeqRecord;
 use jem_sim::{
@@ -57,6 +59,42 @@ fn world(seed: u64) -> World {
             seed: 7,
         },
     }
+}
+
+fn tsv_bytes(mappings: &[jem_core::Mapping], reads: &[SeqRecord], mapper: &JemMapper) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_mappings_tsv(&mut buf, mappings, reads, mapper).unwrap();
+    buf
+}
+
+#[test]
+fn tsv_output_is_byte_identical_with_and_without_stage2() {
+    let w = world(41);
+    let mapper = JemMapper::build(&w.subjects, &w.config);
+    let refiner = Refiner::new(mapper.scheme(), w.config.k, w.subjects.clone());
+    let pipeline = AnchorPipeline::new(&mapper, &refiner);
+    let segments = make_segments(&w.query_reads, w.config.ell);
+
+    // One worker: the fused driver's stage-1 view vs stage 1 alone.
+    let stage1 = mapper.map_reads(&w.query_reads);
+    let fused = pipeline.run_segments(&segments, 1);
+    assert_eq!(
+        tsv_bytes(&fused.mappings, &w.query_reads, &mapper),
+        tsv_bytes(&stage1, &w.query_reads, &mapper),
+        "stage 2 must not perturb the stage-1 TSV byte stream"
+    );
+    assert!(!fused.paf.is_empty(), "no segment refined at all");
+
+    // Parallel: same equivalence against the parallel stage-1 driver.
+    let workers = default_workers();
+    let stage1_par = map_segments_parallel(&mapper, &segments, workers);
+    let fused_par = pipeline.run_segments(&segments, workers);
+    assert_eq!(
+        tsv_bytes(&fused_par.mappings, &w.query_reads, &mapper),
+        tsv_bytes(&stage1_par, &w.query_reads, &mapper),
+    );
+    // And the parallel driver's full output matches the one-worker run.
+    assert_eq!(fused_par, fused);
 }
 
 #[test]

@@ -1,8 +1,10 @@
-//! End-to-end integration: simulate → map → evaluate. That every driver
-//! answers alike is the differential oracle's job (`oracle.rs`).
+//! End-to-end integration: simulate → map → evaluate, across all drivers.
+//! That each driver equals the paper's per-trial definition is the
+//! differential oracle's job (`oracle.rs`).
 
 use jem_core::{
-    mapping_pairs, run_distributed_resilient, JemMapper, MapperConfig, ResilienceOptions,
+    default_workers, make_segments, map_segments_parallel, mapping_pairs,
+    run_distributed_resilient, JemMapper, MapperConfig, ResilienceOptions,
 };
 use jem_eval::{Benchmark, MappingMetrics};
 use jem_psim::{CostModel, ExecMode};
@@ -80,6 +82,40 @@ fn jem_quality_on_simulated_data() {
         m.recall() <= m.precision() + 1e-9,
         "recall must be upper-bounded by precision (paper §IV-B)"
     );
+}
+
+#[test]
+fn all_three_drivers_agree() {
+    let w = world(200);
+    let config = MapperConfig {
+        trials: 10,
+        ..Default::default()
+    };
+    let mapper = JemMapper::build(&w.subjects, &config);
+    let mut sequential = mapper.map_reads(&w.query_reads);
+    sequential.sort_unstable_by_key(|m| (m.read_idx, m.end));
+    let segments = make_segments(&w.query_reads, config.ell);
+    let parallel = map_segments_parallel(&mapper, &segments, default_workers());
+    assert_eq!(
+        parallel, sequential,
+        "parallel driver must equal sequential"
+    );
+    for p in [1, 4, 16] {
+        let distributed = run_distributed_resilient(
+            &w.subjects,
+            &w.query_reads,
+            &config,
+            p,
+            CostModel::ethernet_10g(),
+            ExecMode::Sequential,
+            &ResilienceOptions::default(),
+        )
+        .expect("a fault-free run cannot fail");
+        assert_eq!(
+            distributed.mappings, sequential,
+            "distributed p={p} must equal sequential"
+        );
+    }
 }
 
 #[test]
