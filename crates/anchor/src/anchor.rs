@@ -3,16 +3,15 @@
 //! Stage 1 works on positionless trial collisions, so once a shortlist of
 //! candidate contigs exists the refinement stage re-derives *where* the
 //! shared sketch positions sit: each candidate contig is re-sketched with
-//! the index's own scheme into a [`TargetIndex`] (code → occurrence
-//! positions, strand-annotated), and the query segment's scheme positions
-//! are joined against it to produce `(read_pos, subject_pos)` [`Anchor`]
-//! pairs. Re-sketching only the shortlisted candidates keeps the on-disk
-//! JEMIDX layout untouched while still giving the chain DP exact
-//! coordinates.
+//! the index's own scheme into a [`TargetIndex`] (every selected position,
+//! strand-annotated, in flat arrays sorted by code), and the query
+//! segment's scheme positions are joined against it to produce
+//! `(read_pos, subject_pos)` [`Anchor`] pairs. Re-sketching only the
+//! shortlisted candidates keeps the on-disk JEMIDX layout untouched while
+//! still giving the chain DP exact coordinates.
 
 use jem_seq::Kmer;
 use jem_sketch::{Minimizer, SketchScheme};
-use std::collections::HashMap;
 
 /// One co-occurring position pair between a query segment and a target.
 ///
@@ -27,22 +26,20 @@ pub struct Anchor {
     pub tpos: u32,
 }
 
-/// One occurrence of a sketch code on a target sequence.
-#[derive(Clone, Copy, Debug)]
-struct Posting {
-    pos: u32,
-    /// Was the canonical code the forward k-mer at this position?
-    fwd: bool,
-}
-
-/// Scheme positions of one target contig, keyed by canonical code.
+/// Scheme positions of one target contig, as two flat arrays sorted by
+/// `(code, position)`: the canonical codes, and beside each its
+/// occurrence packed as `position << 1 | forward` (was the canonical code
+/// the forward k-mer there?). One code's occurrences are a contiguous run
+/// in ascending position, found by binary search — minimap2's layout for
+/// minimizer positions (Li 2018) — at 16 bytes per position.
 ///
 /// Built lazily — only for contigs that make a stage-1 shortlist — and
 /// cached per [`crate::Refiner`], so a contig is re-sketched at most once
 /// per run regardless of how many segments shortlist it.
 #[derive(Clone, Debug)]
 pub struct TargetIndex {
-    map: HashMap<u64, Vec<Posting>>,
+    codes: Vec<u64>,
+    occurrences: Vec<u64>,
     len: u32,
 }
 
@@ -50,15 +47,21 @@ impl TargetIndex {
     /// Sketch `seq` with the mapping index's `scheme`/`k` and index every
     /// selected position by code.
     pub fn build(seq: &[u8], scheme: SketchScheme, k: usize) -> Self {
-        let mut map: HashMap<u64, Vec<Posting>> = HashMap::new();
-        for m in scheme.extract(seq, k) {
-            map.entry(m.code).or_default().push(Posting {
-                pos: m.pos,
-                fwd: occurrence_is_forward(seq, m.pos as usize, k, m.code),
-            });
-        }
+        // The scheme lists positions in ascending order, each once, so
+        // sorting `(code, packed)` keeps each code's positions ascending.
+        let mut pairs: Vec<(u64, u64)> = scheme
+            .extract(seq, k)
+            .into_iter()
+            .map(|m| {
+                let fwd = occurrence_is_forward(seq, m.pos as usize, k, m.code);
+                (m.code, u64::from(m.pos) << 1 | u64::from(fwd))
+            })
+            .collect();
+        pairs.sort_unstable();
+        let (codes, occurrences) = pairs.into_iter().unzip();
         TargetIndex {
-            map,
+            codes,
+            occurrences,
             len: seq.len() as u32,
         }
     }
@@ -70,12 +73,19 @@ impl TargetIndex {
 
     /// True when no position was selected (e.g. a target shorter than `k`).
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.codes.is_empty()
     }
 
     /// Number of distinct sketch codes indexed.
     pub fn n_codes(&self) -> usize {
-        self.map.len()
+        self.codes.chunk_by(|a, b| a == b).count()
+    }
+
+    /// The packed occurrences of `code`, in ascending position.
+    fn occurrences(&self, code: u64) -> &[u64] {
+        let lo = self.codes.partition_point(|&c| c < code);
+        let n = self.codes[lo..].iter().take_while(|&&c| c == code).count();
+        &self.occurrences[lo..lo + n]
     }
 }
 
@@ -100,17 +110,17 @@ pub fn collect_anchors(
     let flip_base = (seg_len - k) as u32;
     let mut produced = 0usize;
     for (m, &q_fwd) in query_mins.iter().zip(query_fwd) {
-        let Some(postings) = target.map.get(&m.code) else {
-            continue;
-        };
-        for p in postings {
-            let reverse = q_fwd != p.fwd;
+        for &packed in target.occurrences(m.code) {
+            let reverse = q_fwd != (packed & 1 == 1);
             let (list, qpos) = if reverse {
                 (&mut *rev, flip_base - m.pos)
             } else {
                 (&mut *fwd, m.pos)
             };
-            list.push(Anchor { qpos, tpos: p.pos });
+            list.push(Anchor {
+                qpos,
+                tpos: (packed >> 1) as u32,
+            });
             produced += 1;
         }
     }
@@ -201,6 +211,77 @@ mod tests {
         let (mut fwd, mut rev) = (Vec::new(), Vec::new());
         let n = collect_anchors(&mins, &q_fwd, alien.len(), K, &tindex, &mut fwd, &mut rev);
         assert!(n < 10, "{n} chance anchors is suspiciously many");
+    }
+
+    /// The join over a `HashMap` from code to `(position, forward)`
+    /// occurrences in the scheme's order: the layout the flat arrays
+    /// replaced.
+    fn hashmap_anchors(
+        target: &[u8],
+        mins: &[Minimizer],
+        q_fwd: &[bool],
+        seg_len: usize,
+    ) -> (Vec<Anchor>, Vec<Anchor>) {
+        let mut map: std::collections::HashMap<u64, Vec<(u32, bool)>> = Default::default();
+        for m in SCHEME.extract(target, K) {
+            let fwd = occurrence_is_forward(target, m.pos as usize, K, m.code);
+            map.entry(m.code).or_default().push((m.pos, fwd));
+        }
+        let (mut fwd, mut rev) = (Vec::new(), Vec::new());
+        for (m, &q) in mins.iter().zip(q_fwd) {
+            for &(tpos, t) in map.get(&m.code).into_iter().flatten() {
+                if q == t {
+                    fwd.push(Anchor { qpos: m.pos, tpos });
+                } else {
+                    let qpos = (seg_len - K) as u32 - m.pos;
+                    rev.push(Anchor { qpos, tpos });
+                }
+            }
+        }
+        (fwd, rev)
+    }
+
+    #[test]
+    fn flat_arrays_join_like_a_hashmap_in_the_same_order() {
+        for seed in 0..24u64 {
+            // A random block, copied forward and reverse-complemented
+            // between random spacers: every block code recurs on both
+            // strands.
+            let block = rng_seq(150 + 40 * (seed as usize % 5), seed);
+            let mut target = Vec::new();
+            for copy in 0..(2 + seed % 4) {
+                target.extend(rng_seq(30 + 17 * copy as usize, seed * 101 + copy));
+                if copy % 2 == 0 {
+                    target.extend(&block);
+                } else {
+                    target.extend(revcomp_bytes(&block));
+                }
+            }
+            let tindex = TargetIndex::build(&target, SCHEME, K);
+            let mut codes: Vec<u64> = SCHEME.extract(&target, K).iter().map(|m| m.code).collect();
+            let positions = codes.len();
+            codes.sort_unstable();
+            codes.dedup();
+            assert_eq!(tindex.n_codes(), codes.len());
+            assert!(positions > codes.len(), "seed {seed}: no repeated code");
+            for seg in [
+                block.clone(),
+                revcomp_bytes(&block),
+                target[10..200].to_vec(),
+            ] {
+                let (mins, q_fwd) = query_parts(&seg);
+                let (mut fwd, mut rev) = (Vec::new(), Vec::new());
+                let n = collect_anchors(&mins, &q_fwd, seg.len(), K, &tindex, &mut fwd, &mut rev);
+                let (want_fwd, want_rev) = hashmap_anchors(&target, &mins, &q_fwd, seg.len());
+                assert_eq!(fwd, want_fwd, "seed {seed}: forward anchors");
+                assert_eq!(rev, want_rev, "seed {seed}: reverse anchors");
+                assert_eq!(n, fwd.len() + rev.len());
+                assert!(
+                    !fwd.is_empty() && !rev.is_empty(),
+                    "seed {seed}: both strands"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! sketch index:
 //!
 //! 1. **Anchors** — stage-1's top-x candidate contigs are re-sketched with
-//!    the index's own scheme ([`TargetIndex`], cached per contig) and
-//!    joined against the segment's scheme positions into strand-aware
-//!    `(read_pos, subject_pos)` [`Anchor`] pairs.
+//!    the index's own scheme ([`TargetIndex`]: flat code and position
+//!    arrays sorted by code, cached per contig) and joined against the
+//!    segment's scheme positions into strand-aware `(read_pos,
+//!    subject_pos)` [`Anchor`] pairs.
 //! 2. **Dominance filter** — candidate windows over each target are scored
 //!    by anchor support and thinned with sweepmap's O(n) monotone-deque
 //!    filter ([`filter_dominated`]): a window survives only if nothing

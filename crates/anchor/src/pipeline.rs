@@ -10,12 +10,14 @@
 //! strictly additive: the `mappings` of [`AnchorPipeline::run_segments`]
 //! equal [`JemMapper::map_segments`]' at every worker count, which the
 //! workspace's differential oracle (`tests/oracle.rs`) pins. Work is
-//! spread by the same segment-batch driver ([`jem_core::run_batches`]).
+//! spread by the same segment-batch driver ([`jem_core::run_batches`]),
+//! fed from a slice or, in `jem map --paf`, straight from the parser.
 
 use crate::paf::PafRow;
 use crate::refine::{RefineScratch, RefineStats, Refiner};
-use jem_core::{run_batches, JemMapper, MapScratch, Mapping, QuerySegment};
+use jem_core::{run_batches, slice_batches, JemMapper, MapScratch, Mapping, QuerySegment};
 use jem_index::SubjectId;
+use std::borrow::Cow;
 
 /// Both stages' output for one read set.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -125,55 +127,75 @@ impl<'a> AnchorPipeline<'a> {
         (Some(mapping), row)
     }
 
-    /// Run both stages over prepared segments on `workers` threads pulling
-    /// batches from one cursor, output normalized to the sequential order.
+    /// Run both stages over prepared segments on `workers` threads
+    /// ([`AnchorPipeline::run_batches`] over [`slice_batches`]), output
+    /// normalized to the sequential order.
     pub fn run_segments(&self, segments: &[QuerySegment], workers: usize) -> AnchorOutput {
+        let Ok(out) = self.run_batches(slice_batches(segments), workers);
+        out
+    }
+
+    /// Run both stages over the segments `batches` yields on `workers`
+    /// threads fed through one bounded queue ([`jem_core::run_batches`]),
+    /// output normalized to the sequential order; or the feed's first
+    /// error.
+    pub fn run_batches<'s, B, E>(
+        &self,
+        batches: impl IntoIterator<Item = Result<B, E>>,
+        workers: usize,
+    ) -> Result<AnchorOutput, E>
+    where
+        B: Into<Cow<'s, [QuerySegment]>>,
+    {
         let rec = jem_obs::recorder();
         let _span = jem_obs::Span::enter(rec, "anchor/run");
         let parts = run_batches(
-            segments,
+            batches,
             workers,
             || {
                 (
                     PipelineScratch::default(),
                     RefineStats::default(),
                     AnchorOutput::default(),
+                    0usize,
                 )
             },
-            |(scratch, stats, out), _, batch| {
+            |(scratch, stats, out, seen), _, batch| {
                 for seg in batch {
                     let (mapping, row) = self.process_segment(seg, scratch, stats);
                     out.mappings.extend(mapping);
                     out.paf.extend(row);
                 }
+                *seen += batch.len();
             },
-        );
+        )?;
         let mut stats = RefineStats::default();
         let mut out = AnchorOutput::default();
-        for (_, part_stats, part) in parts {
+        let mut segments = 0;
+        for (_, part_stats, part, seen) in parts {
             out.mappings.extend(part.mappings);
             out.paf.extend(part.paf);
             stats.merge(&part_stats);
+            segments += seen;
         }
         // Total orders, at most one mapping and one row per (read_idx, end):
         // the sequential order, whatever the worker count.
         out.mappings.sort_unstable();
         out.paf.sort_unstable();
-        self.flush_metrics(rec, segments, &stats, &out);
-        out
+        Self::flush_metrics(rec, segments, &stats, &out);
+        Ok(out)
     }
 
     fn flush_metrics(
-        &self,
         rec: &dyn jem_obs::Recorder,
-        segments: &[QuerySegment],
+        segments: usize,
         stats: &RefineStats,
         out: &AnchorOutput,
     ) {
         if !rec.enabled() {
             return;
         }
-        rec.add("anchor.input_segments", segments.len() as u64);
+        rec.add("anchor.input_segments", segments as u64);
         rec.add("anchor.mapped", out.mappings.len() as u64);
         stats.flush(rec);
         for row in &out.paf {

@@ -29,4 +29,4 @@ pub mod mashmap;
 pub mod minhash_mapper;
 
 pub use mashmap::{run_mashmap_threaded, MashmapConfig, MashmapMapper};
-pub use minhash_mapper::{ClassicMinHashConfig, ClassicMinHashMapper};
+pub use minhash_mapper::{ClassicMinHashConfig, ClassicMinHashMapper, ClassicScratch};

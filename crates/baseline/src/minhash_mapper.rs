@@ -13,7 +13,7 @@
 use jem_core::{make_segments, CodeFilter, Mapping, Probe};
 use jem_index::{FlatTable, HitCounter, LazyHitCounter, MaskedRun, SubjectId};
 use jem_seq::SeqRecord;
-use jem_sketch::{classic_minhash_seq, HashFamily, MaskedSketch};
+use jem_sketch::{classic_minhash_seq, classic_minima_into, HashFamily, MaskedSketch};
 
 /// Classical-MinHash baseline configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +37,18 @@ impl Default for ClassicMinHashConfig {
             seed: 0x4a45_4d4d,
         }
     }
+}
+
+/// Reusable buffers for [`ClassicMinHashMapper::map_segment_with`]: the
+/// per-trial minima, their `(code, trial)` entries, the code-keyed sketch
+/// with its fuse index, and the probe kernel's buffers.
+#[derive(Clone, Debug, Default)]
+pub struct ClassicScratch {
+    minima: Vec<Option<(u64, u64)>>,
+    entries: Vec<(u64, usize)>,
+    sketch: MaskedSketch,
+    fuse: Vec<u32>,
+    probe: Probe,
 }
 
 /// The classical MinHash mapper.
@@ -83,20 +95,43 @@ impl ClassicMinHashMapper {
     /// Map one end segment: per-trial sketch equality against the table,
     /// through the one probe kernel (a trial's single minimum is the
     /// query's only code on that trial; equal minima fuse into one code).
+    /// Fresh buffers each call; [`map_segment_with`](Self::map_segment_with)
+    /// reuses them.
     pub fn map_segment(
         &self,
         seg: &[u8],
         qid: u64,
         counter: &mut LazyHitCounter,
     ) -> Option<(SubjectId, u32)> {
-        let sketch = classic_minhash_seq(seg, self.config.k, &self.family);
-        let entries = sketch
-            .values
-            .iter()
-            .enumerate()
-            .filter_map(|(t, value)| value.map(|code| (code, t)));
-        let sketch = MaskedSketch::from_entries(self.config.trials, entries);
-        Probe::default().run(&self.table, &sketch, &CodeFilter::all(), qid, counter);
+        self.map_segment_with(seg, qid, counter, &mut ClassicScratch::default())
+    }
+
+    /// [`map_segment`](Self::map_segment) through one caller-held
+    /// scratch, warm after the first segment.
+    pub fn map_segment_with(
+        &self,
+        seg: &[u8],
+        qid: u64,
+        counter: &mut LazyHitCounter,
+        scratch: &mut ClassicScratch,
+    ) -> Option<(SubjectId, u32)> {
+        let ClassicScratch {
+            minima,
+            entries,
+            sketch,
+            fuse,
+            probe,
+        } = scratch;
+        classic_minima_into(seg, self.config.k, &self.family, minima);
+        entries.clear();
+        entries.extend(
+            minima
+                .iter()
+                .enumerate()
+                .filter_map(|(t, min)| min.map(|(_, code)| (code, t))),
+        );
+        sketch.fill_from_entries(self.config.trials, entries, fuse);
+        probe.run(&self.table, sketch, &CodeFilter::all(), qid, counter);
         counter.best(qid)
     }
 
@@ -104,9 +139,11 @@ impl ClassicMinHashMapper {
     pub fn map_reads(&self, reads: &[SeqRecord]) -> Vec<Mapping> {
         let segments = make_segments(reads, self.config.ell);
         let mut counter = self.new_counter();
+        let mut scratch = ClassicScratch::default();
         let mut out = Vec::new();
         for (qid, seg) in segments.iter().enumerate() {
-            if let Some((subject, hits)) = self.map_segment(&seg.seq, qid as u64, &mut counter) {
+            let best = self.map_segment_with(&seg.seq, qid as u64, &mut counter, &mut scratch);
+            if let Some((subject, hits)) = best {
                 out.push(Mapping {
                     read_idx: seg.read_idx,
                     end: seg.end,
@@ -187,6 +224,40 @@ mod tests {
         let mapper = ClassicMinHashMapper::build(&subjects, &config());
         let mut counter = mapper.new_counter();
         assert_eq!(mapper.map_segment(b"", 0, &mut counter), None);
+    }
+
+    #[test]
+    fn reused_scratch_maps_like_fresh_buffers() {
+        let subjects = subjects();
+        let mapper = ClassicMinHashMapper::build(&subjects, &config());
+        let mut scratch = ClassicScratch::default();
+        let mut reused = mapper.new_counter();
+        let mut mapped = 0;
+        let mut qid = 0u64;
+        for (i, subject) in subjects.iter().enumerate() {
+            for seg in [
+                &subject.seq[..],
+                &subject.seq[..400.min(subject.seq.len())],
+                b"",
+            ] {
+                // The per-call construction map_segment_with replaces.
+                let sketch = classic_minhash_seq(seg, config().k, &mapper.family);
+                let entries = sketch.values.iter().enumerate();
+                let sketch = MaskedSketch::from_entries(
+                    config().trials,
+                    entries.filter_map(|(t, value)| value.map(|code| (code, t))),
+                );
+                let mut counter = mapper.new_counter();
+                Probe::default().run(&mapper.table, &sketch, &CodeFilter::all(), 0, &mut counter);
+                let fresh = counter.best(0);
+                assert_eq!(mapper.map_segment(seg, 0, &mut mapper.new_counter()), fresh);
+                let with = mapper.map_segment_with(seg, qid, &mut reused, &mut scratch);
+                assert_eq!(with, fresh, "subject {i}, {} bases", seg.len());
+                mapped += usize::from(with.is_some());
+                qid += 1;
+            }
+        }
+        assert!(mapped >= subjects.len(), "only {mapped} segments mapped");
     }
 
     #[test]

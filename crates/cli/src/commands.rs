@@ -5,7 +5,7 @@ use crate::error::CliError;
 use crate::io::{read_sequences, write_fasta, write_file_atomic, AtomicFile, SeqSource};
 use jem_anchor::{write_paf, AnchorPipeline, PafRow, RefineScratch, RefineStats, Refiner};
 use jem_core::{
-    default_workers, load_index_path, make_segments, map_segments_parallel, read_index_config,
+    default_workers, load_index_path, make_segments, map_batches_parallel, read_index_config,
     run_distributed_resilient, save_index, write_mappings_tsv, write_mappings_tsv_named,
     CodeFilter, JemMapper, MapperConfig, Mapping, QuerySet, ReadEnd, ResilienceOptions,
 };
@@ -231,12 +231,15 @@ fn build_refiner(mapper: &JemMapper, subjects: Vec<SeqRecord>) -> Result<Refiner
 /// byte-identical with or without `--paf` — stage 2 is strictly additive.
 ///
 /// ℓ comes from the index header (checked the way the loader checks it)
-/// or the config flags, so the queries' end segments are ingested on this
-/// thread while the index is loaded and fully verified — or built — on
-/// another (with `--paf`, the `--subjects` read too). Nothing is mapped
-/// and no output is created until both are in. `--threads N` maps on N
-/// workers, and without it on one per core; the output is the same at
-/// every worker count.
+/// or the config flags. The index is loaded and fully verified — or
+/// built — on a side thread (with `--paf`, the `--subjects` read too)
+/// while the queries open. Then this thread parses the queries into
+/// segment batches and feeds them through a bounded queue to the mapping
+/// workers, so only the segments in flight are held. Errors surface in
+/// the order index, queries, subjects; nothing is mapped before the index
+/// is in, and no output file is created before the last query is mapped.
+/// `--threads N` maps on N workers, and without it on one per core; the
+/// output is the same at every worker count.
 pub fn cmd_map(args: &Args) -> Result<(), CliError> {
     known_flags(
         args,
@@ -265,34 +268,41 @@ pub fn cmd_map(args: &Args) -> Result<(), CliError> {
         (None, Some(_)) => mapper_config(args)?.0.ell,
         (None, None) => return Err(CliError::Usage("need --index or --subjects".into())),
     };
-    let (loaded, ingested) = std::thread::scope(|s| {
+    let (loaded, source) = std::thread::scope(|s| {
         let side = s.spawn(|| load_for_map(args, paf_path.is_some()));
-        let ingested = {
-            let _span = jem_obs::Span::enter(jem_obs::recorder(), "map/ingest");
-            SeqSource::open(queries).and_then(|source| source.segments(ell))
-        };
+        let source = SeqSource::open(queries);
         let loaded = side
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (loaded, ingested)
+        (loaded, source)
     });
     // Errors in the order they always surfaced: index, queries, subjects.
     let (mapper, refiner) = loaded?;
-    let QuerySet { ids, segments } = ingested?;
-    let refiner = refiner?;
-    eprintln!(
-        "mapping {} reads against {} subjects",
-        ids.len(),
-        mapper.n_subjects()
-    );
+    let mut batches = source?.batches(ell);
+    let refiner = match refiner {
+        Ok(refiner) => refiner,
+        Err(subjects) => {
+            // Nothing can be refined; a queries error still comes first.
+            for batch in &mut batches {
+                batch?;
+            }
+            return Err(subjects);
+        }
+    };
     let (mappings, paf) = match (&refiner, paf_path) {
         (Some(refiner), Some(paf_path)) => {
-            let out = AnchorPipeline::new(&mapper, refiner).run_segments(&segments, workers);
+            let out = AnchorPipeline::new(&mapper, refiner).run_batches(&mut batches, workers)?;
             (out.mappings, Some((paf_path, out.paf)))
         }
-        _ => (map_segments_parallel(&mapper, &segments, workers), None),
+        _ => (map_batches_parallel(&mapper, &mut batches, workers)?, None),
     };
-    eprintln!("{} end segments mapped", mappings.len());
+    let ids = batches.into_ids();
+    eprintln!(
+        "{} reads against {} subjects: {} end segments mapped",
+        ids.len(),
+        mapper.n_subjects(),
+        mappings.len()
+    );
     if let Some((paf_path, rows)) = &paf {
         let mut out = AtomicFile::create(paf_path).map_err(CliError::io(paf_path))?;
         write_paf(&mut out, rows, &ids, mapper.subject_names()).map_err(CliError::io(paf_path))?;
@@ -322,10 +332,10 @@ pub fn cmd_map(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `jem map`'s side of the overlap: the mapper ([`load_or_build_mapper`])
-/// and, when `paf` is set, the stage-2 refiner over `--subjects`. The
+/// `jem map`'s side thread: the mapper ([`load_or_build_mapper`]) and,
+/// when `paf` is set, the stage-2 refiner over `--subjects`. The
 /// refiner's result is returned apart so a bad `--subjects` file is
-/// reported after the queries, as before the two ran side by side.
+/// reported after the queries.
 fn load_for_map(
     args: &Args,
     paf: bool,

@@ -1,7 +1,7 @@
 //! Shared file I/O helpers for the CLI commands.
 
 use crate::error::CliError;
-use jem_core::{read_segments, QuerySet};
+use jem_core::{read_segments, QuerySegment, QuerySet, SegmentBatches};
 use jem_seq::{RecordParser, SeqFormat, SeqRecord};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Cursor, Read, Write};
@@ -18,8 +18,9 @@ const READ_BUF: usize = 1 << 20;
 /// as a [`CliError::Format`], never a panic.
 pub struct SeqSource {
     label: String,
-    /// `None` for an input holding no records (empty or whitespace only).
-    parser: Option<RecordParser<Box<dyn BufRead>>>,
+    /// An input holding no records (empty or whitespace only) parses as
+    /// an empty FASTA stream.
+    parser: RecordParser<Box<dyn BufRead>>,
 }
 
 impl SeqSource {
@@ -65,7 +66,7 @@ impl SeqSource {
             None => {
                 return Ok(SeqSource {
                     label,
-                    parser: None,
+                    parser: RecordParser::new(Box::new(std::io::empty()), SeqFormat::Fasta),
                 })
             }
         };
@@ -76,31 +77,58 @@ impl SeqSource {
         };
         Ok(SeqSource {
             label,
-            parser: Some(RecordParser::new(reader, format)),
+            parser: RecordParser::new(reader, format),
         })
     }
 
     /// Read every record whole.
-    pub fn records(self) -> Result<Vec<SeqRecord>, CliError> {
+    pub fn records(mut self) -> Result<Vec<SeqRecord>, CliError> {
         let mut out = Vec::new();
-        if let Some(mut parser) = self.parser {
-            while let Some(rec) = parser
-                .next_record()
-                .map_err(CliError::format(&self.label))?
-            {
-                out.push(rec.to_seq_record());
-            }
+        while let Some(rec) = self
+            .parser
+            .next_record()
+            .map_err(CliError::format(&self.label))?
+        {
+            out.push(rec.to_seq_record());
         }
         Ok(out)
     }
 
-    /// Ingest the reads' ids and ℓ-base end segments only
+    /// Ingest the reads' ids and ℓ-base end segments only, collected
     /// ([`jem_core::read_segments`]).
     pub fn segments(self, ell: usize) -> Result<QuerySet, CliError> {
-        match self.parser {
-            None => Ok(QuerySet::default()),
-            Some(parser) => read_segments(parser, ell).map_err(CliError::format(&self.label)),
+        read_segments(self.parser, ell).map_err(CliError::format(&self.label))
+    }
+
+    /// The reads' ℓ-base end segments in batches, parsed as they are
+    /// pulled ([`jem_core::SegmentBatches`]).
+    pub fn batches(self, ell: usize) -> QueryBatches {
+        QueryBatches {
+            batches: SegmentBatches::new(self.parser, ell),
+            label: self.label,
         }
+    }
+}
+
+/// A query input's end-segment batches, each error naming the input.
+pub struct QueryBatches {
+    label: String,
+    batches: SegmentBatches<Box<dyn BufRead>>,
+}
+
+impl QueryBatches {
+    /// The ids of the reads parsed, in input order.
+    pub fn into_ids(self) -> Vec<String> {
+        self.batches.into_ids()
+    }
+}
+
+impl Iterator for QueryBatches {
+    type Item = Result<Vec<QuerySegment>, CliError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let batch = self.batches.next()?;
+        Some(batch.map_err(CliError::format(&self.label)))
     }
 }
 

@@ -420,6 +420,102 @@ fn malformed_queries_fail_with_a_typed_error_naming_the_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `n` FASTQ reads of 1 000 bases cut from `dir`'s simulated genome: two
+/// 500-base end segments each.
+fn genome_windows(dir: &std::path::Path, n: usize) -> Vec<u8> {
+    let fasta = std::fs::read_to_string(dir.join("genome.fa")).unwrap();
+    let genome: String = fasta.lines().filter(|l| !l.starts_with('>')).collect();
+    let quality = "I".repeat(1000);
+    let mut fastq = Vec::new();
+    for i in 0..n {
+        let at = (i * 7919) % (genome.len() - 1000);
+        let seq = &genome[at..at + 1000];
+        fastq.extend(format!("@w{i}\n{seq}\n+\n{quality}\n").bytes());
+    }
+    fastq
+}
+
+/// `jem map` maps batches while it parses, but a malformed record after
+/// many good batches still fails typed, naming its line, with no output
+/// or temporary file left — with and without stage 2.
+#[test]
+fn a_late_malformed_record_fails_typed_with_no_output() {
+    let dir = indexed_world("late");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    // 700 reads are 1 400 segments, 21 full batches, before the bad
+    // record, whose quality line (line 2 804) is short.
+    let mut fastq = genome_windows(&dir, 700);
+    fastq.extend(b"@bad\nACGTACGT\n+\nIIII\n");
+    std::fs::write(p("late.fq"), fastq).unwrap();
+    for paf in [false, true] {
+        let mut cmd = jem();
+        cmd.args([
+            "map",
+            "--index",
+            &p("index.jem"),
+            "--queries",
+            &p("late.fq"),
+        ])
+        .args(["--out", &p("out.tsv"), "--threads", "2"]);
+        if paf {
+            cmd.args(["--paf", &p("out.paf"), "--subjects", &p("contigs.fa")]);
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains("late.fq") && stderr.contains("line 2804"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        for file in ["out.tsv", "out.tsv.tmp", "out.paf", "out.paf.tmp"] {
+            assert!(!dir.join(file).exists(), "{file} left behind (paf {paf})");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--subjects` file that is not the indexed contig set is reported
+/// after a queries error, as when the queries were read whole first.
+#[test]
+fn a_queries_error_comes_before_a_subjects_mismatch() {
+    let dir = indexed_world("order");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let renamed = std::fs::read_to_string(p("contigs.fa"))
+        .unwrap()
+        .replace('>', ">renamed_");
+    std::fs::write(p("renamed.fa"), renamed).unwrap();
+    let mut fastq = genome_windows(&dir, 100);
+    fastq.extend(b"@bad\nAC\xffT\n+\nIIII\n");
+    std::fs::write(p("bad.fq"), fastq).unwrap();
+    let map = |queries: &str| {
+        jem()
+            .args(["map", "--index", &p("index.jem"), "--queries", &p(queries)])
+            .args(["--out", &p("out.tsv"), "--paf", &p("out.paf")])
+            .args(["--subjects", &p("renamed.fa")])
+            .output()
+            .unwrap()
+    };
+    let out = map("bad.fq");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("bad.fq") && stderr.contains("line 402"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("disagrees"), "{stderr}");
+    // Good queries: the subjects mismatch is what is left to report.
+    std::fs::write(p("good.fq"), genome_windows(&dir, 100)).unwrap();
+    let out = map("good.fq");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("disagrees"), "{stderr}");
+    for file in ["out.tsv", "out.tsv.tmp", "out.paf", "out.paf.tmp"] {
+        assert!(!dir.join(file).exists(), "{file} left behind");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn query_fails_on_a_missing_file_before_contacting_the_server() {
     // Nothing listens on this address; the file error must come first.

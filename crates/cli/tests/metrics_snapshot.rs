@@ -88,6 +88,45 @@ fn map_metrics_snapshot_has_pipeline_breakdown() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `jem map` holds only the batches in flight: over an input of more than
+/// 50 batches, no worker's pull finds more queued than the queue's bound
+/// of two per worker.
+#[test]
+fn map_queue_depth_stays_within_its_bound() {
+    let dir = workdir("queue");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    run(jem()
+        .args(["simulate", "--out", dir.to_str().unwrap()])
+        .args(["--genome-len", "60000", "--coverage", "1", "--seed", "41"]));
+    // 2 000 reads of 1 000 bases from the genome: 4 000 end segments of
+    // 500 bases, 63 batches of 64.
+    let fasta = std::fs::read_to_string(p("genome.fa")).unwrap();
+    let genome: String = fasta.lines().filter(|l| !l.starts_with('>')).collect();
+    let quality = "I".repeat(1000);
+    let mut fastq = String::new();
+    for i in 0..2000 {
+        let at = (i * 7919) % (genome.len() - 1000);
+        let seq = &genome[at..at + 1000];
+        fastq.push_str(&format!("@w{i}\n{seq}\n+\n{quality}\n"));
+    }
+    std::fs::write(p("windows.fq"), fastq).unwrap();
+    run(jem()
+        .args(["map", "--subjects", &p("contigs.fa"), "--ell", "500"])
+        .args(["--queries", &p("windows.fq"), "--out", &p("map.tsv")])
+        .args(["--threads", "2", "--metrics", &p("metrics.json")]));
+
+    let snap = load_snapshot(&dir.join("metrics.json"));
+    assert_eq!(snap.counter("map.segments"), 4000);
+    let depth = &snap.histograms["map.queue_depth"];
+    assert_eq!(depth.count, 63, "one observation per pull");
+    let bound = jem_core::queue_bound(2) as u64;
+    assert!(depth.max <= bound, "queue depth {} past {bound}", depth.max);
+    for waited in ["map.ingest_wait_ns", "map.ingest_full_ns"] {
+        assert!(snap.counters.contains_key(waited), "{waited} missing");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn distributed_metrics_snapshot_has_simulated_breakdown() {
     let dir = workdir("dist");

@@ -17,11 +17,14 @@
 //! Three drivers share this logic:
 //!
 //! * [`JemMapper::map_reads`] — sequential (one counter, queries one by one);
-//! * [`parallel::map_segments_parallel`] — the shared-memory
-//!   segment-batch driver: std threads pull fixed-size batches from one
-//!   atomic cursor ([`parallel::run_batches`], also behind `jem-anchor`'s
-//!   fused pipeline); [`segment::read_segments`] ingests its input
-//!   straight from FASTA/FASTQ, keeping only each read's ends;
+//! * [`parallel::map_batches_parallel`] — the shared-memory
+//!   segment-batch driver: the calling thread feeds fixed-size batches
+//!   through one bounded queue to std worker threads
+//!   ([`parallel::run_batches`], also behind `jem-anchor`'s fused
+//!   pipeline); the batches come from a slice
+//!   ([`parallel::map_segments_parallel`]) or straight from FASTA/FASTQ
+//!   ([`segment::SegmentBatches`], which keeps only each read's ends), so
+//!   a parsed input is held only in flight;
 //! * [`resilient::run_distributed_resilient`] — the paper's S1–S4
 //!   distributed algorithm on the `jem-psim` BSP world, producing the
 //!   per-step timing breakdown of Figs. 7–8 and the strong-scaling data of
@@ -45,11 +48,16 @@ pub mod segment;
 pub use config::MapperConfig;
 pub use contained::{ContainedHit, TiledMapping};
 pub use mapper::{CodeFilter, JemMapper, MapScratch, Mapping, Probe};
-pub use parallel::{default_workers, map_segments_parallel, run_batches};
+pub use parallel::{
+    default_workers, map_batches_parallel, map_segments_parallel, queue_bound, run_batches,
+    slice_batches,
+};
 pub use persist::{load_index, load_index_path, read_index_config, save_index};
 pub use report::{mapping_pairs, write_mappings_tsv, write_mappings_tsv_named};
 pub use resilient::{
     run_distributed_resilient, DistributedOutcome, ResilienceError, ResilienceOptions,
     StepBreakdown,
 };
-pub use segment::{make_segments, read_segments, QuerySegment, QuerySet, ReadEnd, ReadId};
+pub use segment::{
+    make_segments, read_segments, QuerySegment, QuerySet, ReadEnd, ReadId, SegmentBatches,
+};

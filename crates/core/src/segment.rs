@@ -5,10 +5,12 @@
 //! sequences of length ℓ. Reads no longer than ℓ contribute a single
 //! segment (their prefix and suffix coincide).
 //!
-//! [`make_segments`] cuts segments out of whole reads; [`read_segments`]
-//! ingests them straight from a FASTA/FASTQ stream, holding one read at a
-//! time, with the same result.
+//! [`make_segments`] cuts segments out of whole reads; [`SegmentBatches`]
+//! ingests them straight from a FASTA/FASTQ stream in batches, holding one
+//! read at a time, with the same result, and [`read_segments`] collects
+//! those batches.
 
+use crate::parallel::BATCH_SEGMENTS;
 use jem_seq::{RecordParser, SeqError, SeqRecord};
 use std::io::BufRead;
 
@@ -111,27 +113,107 @@ pub fn make_segments(reads: &[SeqRecord], ell: usize) -> Vec<QuerySegment> {
     out
 }
 
-/// Ingest a FASTA/FASTQ stream as a [`QuerySet`], keeping only each read's
-/// id and its ≤ 2 end segments: the segments equal
-/// `make_segments(&parser_records, ell)` and the ids the records' ids, but
-/// no read is ever held whole.
+/// A FASTA/FASTQ stream's end segments in batches of [`BATCH_SEGMENTS`]
+/// (the last may be shorter), parsed one read at a time: the feed
+/// [`crate::run_batches`] drains while its workers map, so the segments
+/// are held only in flight. Concatenated, the batches equal
+/// `make_segments(&parser_records, ell)`; a read's two ends may fall into
+/// consecutive batches. The reads' ids stay behind for the writers
+/// ([`SegmentBatches::into_ids`]). A malformed record ends the stream with
+/// its error. Each batch's parse is recorded as a `map/ingest` span.
+pub struct SegmentBatches<R> {
+    parser: RecordParser<R>,
+    ell: usize,
+    ids: Vec<String>,
+    /// Segments parsed but not yet handed out: fewer than a batch, or one
+    /// over when a read's suffix overflows it.
+    pending: Vec<QuerySegment>,
+    done: bool,
+}
+
+impl<R: BufRead> SegmentBatches<R> {
+    /// Batch `parser`'s records' ℓ-base end segments.
+    ///
+    /// # Panics
+    /// Panics if `ell` is zero, like [`make_segments`].
+    pub fn new(parser: RecordParser<R>, ell: usize) -> Self {
+        assert!(ell > 0, "segment length ell must be positive");
+        SegmentBatches {
+            parser,
+            ell,
+            ids: Vec::new(),
+            pending: Vec::new(),
+            done: false,
+        }
+    }
+
+    /// Give up the parser, keeping the ids of the reads parsed, in input
+    /// order (indexed by [`QuerySegment::read_idx`]).
+    pub fn into_ids(self) -> Vec<String> {
+        self.ids
+    }
+
+    /// Parse records until a batch is full or the input ends.
+    fn fill(&mut self) -> Result<(), SeqError> {
+        while self.pending.len() < BATCH_SEGMENTS {
+            let Some(rec) = self.parser.next_record()? else {
+                self.done = true;
+                return Ok(());
+            };
+            let idx = u32::try_from(self.ids.len()).map_err(|_| {
+                SeqError::InvalidParameter("more reads than a u32 read index can name".into())
+            })?;
+            self.ids.push(rec.id.to_string());
+            push_end_segments(&mut self.pending, idx, rec.seq, self.ell);
+        }
+        Ok(())
+    }
+}
+
+impl<R: BufRead> Iterator for SegmentBatches<R> {
+    type Item = Result<Vec<QuerySegment>, SeqError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if !self.done {
+            let _span = jem_obs::Span::enter(jem_obs::recorder(), "map/ingest");
+            if let Err(e) = self.fill() {
+                self.done = true;
+                self.pending.clear();
+                return Some(Err(e));
+            }
+        }
+        if self.pending.is_empty() {
+            return None;
+        }
+        let rest = if self.pending.len() > BATCH_SEGMENTS {
+            self.pending.split_off(BATCH_SEGMENTS)
+        } else {
+            Vec::with_capacity(BATCH_SEGMENTS + 1)
+        };
+        Some(Ok(std::mem::replace(&mut self.pending, rest)))
+    }
+}
+
+/// Ingest a FASTA/FASTQ stream as a [`QuerySet`]: the collected
+/// [`SegmentBatches`], keeping only each read's id and its ≤ 2 end
+/// segments. The segments equal `make_segments(&parser_records, ell)` and
+/// the ids the records' ids, but no read is ever held whole.
 ///
 /// # Panics
 /// Panics if `ell` is zero, like [`make_segments`].
 pub fn read_segments<R: BufRead>(
-    mut parser: RecordParser<R>,
+    parser: RecordParser<R>,
     ell: usize,
 ) -> Result<QuerySet, SeqError> {
-    assert!(ell > 0, "segment length ell must be positive");
-    let mut set = QuerySet::default();
-    while let Some(rec) = parser.next_record()? {
-        let idx = u32::try_from(set.ids.len()).map_err(|_| {
-            SeqError::InvalidParameter("more reads than a u32 read index can name".into())
-        })?;
-        set.ids.push(rec.id.to_string());
-        push_end_segments(&mut set.segments, idx, rec.seq, ell);
+    let mut batches = SegmentBatches::new(parser, ell);
+    let mut segments = Vec::new();
+    for batch in &mut batches {
+        segments.extend(batch?);
     }
-    Ok(set)
+    Ok(QuerySet {
+        ids: batches.into_ids(),
+        segments,
+    })
 }
 
 #[cfg(test)]
@@ -213,5 +295,40 @@ mod tests {
         );
         assert_eq!(set.segments[1].key(&set.ids), "long/suffix");
         assert_eq!(set.segments[1].seq, b"GTAC".to_vec());
+    }
+
+    #[test]
+    fn batches_are_full_but_the_last_and_concatenate_to_make_segments() {
+        use jem_seq::{FastqReader, SeqFormat};
+        // 100 reads of 1..=2 segments each: some reads straddle a batch
+        // boundary.
+        let mut fastq = Vec::new();
+        for i in 0..100 {
+            let n = if i % 3 == 0 { 3 } else { 9 };
+            let seq: String = (0..n).map(|j| ['A', 'C', 'G', 'T'][(i + j) % 4]).collect();
+            fastq.extend(format!("@r{i}\n{seq}\n+\n{}\n", "I".repeat(n)).bytes());
+        }
+        let reads: Vec<SeqRecord> = FastqReader::new(&fastq[..])
+            .map(|r| r.unwrap().into_seq_record())
+            .collect();
+        let mut batches = SegmentBatches::new(RecordParser::new(&fastq[..], SeqFormat::Fastq), 4);
+        let sizes: Vec<usize> = (&mut batches).map(|b| b.unwrap().len()).collect();
+        let total = make_segments(&reads, 4).len();
+        assert!(total > 2 * BATCH_SEGMENTS, "{total} segments");
+        assert_eq!(sizes.iter().sum::<usize>(), total);
+        assert!(sizes[..sizes.len() - 1]
+            .iter()
+            .all(|&n| n == BATCH_SEGMENTS));
+        assert_eq!(batches.into_ids().len(), 100);
+
+        // A malformed record ends the stream with its typed error.
+        fastq.extend(b"@bad\nACGT\n+\nII\n");
+        let batches = SegmentBatches::new(RecordParser::new(&fastq[..], SeqFormat::Fastq), 4);
+        let results: Vec<_> = batches.collect();
+        assert!(results[..results.len() - 1].iter().all(Result::is_ok));
+        assert!(matches!(
+            results.last(),
+            Some(Err(SeqError::Format { line: 404, .. }))
+        ));
     }
 }

@@ -43,7 +43,7 @@ pub use jem::{
     JemParams, JemSketch, SketchScratch,
 };
 pub use masked::{sketch_masked_into, MaskedSketch};
-pub use minhash::{classic_minhash_seq, classic_minhash_set, ClassicSketch};
+pub use minhash::{classic_minhash_seq, classic_minhash_set, classic_minima_into, ClassicSketch};
 pub use minimizer::{
     minimizers, minimizers_into, minimizers_naive, Minimizer, MinimizerParams, WinnowScratch,
 };

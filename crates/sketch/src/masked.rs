@@ -50,8 +50,19 @@ impl MaskedSketch {
     pub fn from_entries(trials: usize, entries: impl IntoIterator<Item = (u64, usize)>) -> Self {
         let entries: Vec<(u64, usize)> = entries.into_iter().collect();
         let mut out = MaskedSketch::default();
-        out.fuse(trials, entries.len(), entries, &mut Vec::new());
+        out.fill_from_entries(trials, &entries, &mut Vec::new());
         out
+    }
+
+    /// [`from_entries`](Self::from_entries) into this sketch's
+    /// allocations, with `index` as the fuse's reusable hash index.
+    pub fn fill_from_entries(
+        &mut self,
+        trials: usize,
+        entries: &[(u64, usize)],
+        index: &mut Vec<u32>,
+    ) {
+        self.fuse(trials, entries.len(), entries.iter().copied(), index);
     }
 
     /// Mask words per code, `⌈T/32⌉`.

@@ -63,20 +63,34 @@ pub fn classic_minhash_set(items: &[u64], family: &HashFamily) -> ClassicSketch 
 /// Single pass over the sequence per call; all `T` trials are folded into
 /// the same pass so the sequence is decoded once.
 pub fn classic_minhash_seq(seq: &[u8], k: usize, family: &HashFamily) -> ClassicSketch {
-    let mut best: Vec<Option<(u64, u64)>> = vec![None; family.len()];
+    let mut minima = Vec::new();
+    classic_minima_into(seq, k, family, &mut minima);
+    ClassicSketch {
+        values: minima.into_iter().map(|b| b.map(|(_, x)| x)).collect(),
+    }
+}
+
+/// [`classic_minhash_seq`]'s pass into a reused buffer: `minima[t]` is
+/// trial `t`'s least `(h_t(code), code)` over the canonical k-mers of
+/// `seq`, `None` on every trial when `seq` has no valid k-mer.
+pub fn classic_minima_into(
+    seq: &[u8],
+    k: usize,
+    family: &HashFamily,
+    minima: &mut Vec<Option<(u64, u64)>>,
+) {
+    minima.clear();
+    minima.resize(family.len(), None);
     if let Ok(iter) = CanonicalKmerIter::new(seq, k) {
         for (_, kmer) in iter {
             let x = kmer.code();
             for (t, h) in family.iter() {
                 let hv = h.hash(x);
-                if best[t].is_none_or(|(bh, bx)| (hv, x) < (bh, bx)) {
-                    best[t] = Some((hv, x));
+                if minima[t].is_none_or(|(bh, bx)| (hv, x) < (bh, bx)) {
+                    minima[t] = Some((hv, x));
                 }
             }
         }
-    }
-    ClassicSketch {
-        values: best.into_iter().map(|b| b.map(|(_, x)| x)).collect(),
     }
 }
 

@@ -19,6 +19,12 @@
 //!   `AnchorPipeline::run_segments` at 1, 3 and 16 workers, whose PAF rows
 //!   have no per-trial reference and must instead be identical across
 //!   those worker counts;
+//! * streamed ([`check_streamed`], simulated worlds only) — the reads as
+//!   FASTQ bytes parsed into `SegmentBatches` and fed through the bounded
+//!   queue by `map_batches_parallel` and `AnchorPipeline::run_batches` at
+//!   1, 2, 5 and 16 workers, from the whole buffer and one byte per
+//!   `read`; the pipeline's PAF rows must equal `run_segments`' over the
+//!   collected segments;
 //! * slot pieces ([`check_pieces`]) — `segment_partials` under pieces of a
 //!   1-, 8- and 256-slot space: each piece equals the reference restricted
 //!   to its slots, the pieces OR to the full masks, and `merge_partials`
@@ -42,12 +48,13 @@
 use jem_anchor::{AnchorPipeline, Refiner};
 use jem_core::parallel::BATCH_SEGMENTS;
 use jem_core::{
-    make_segments, map_segments_parallel, run_distributed_resilient, CodeFilter, JemMapper,
-    MapScratch, MapperConfig, Mapping, QuerySegment, ResilienceOptions,
+    make_segments, map_batches_parallel, map_segments_parallel, run_distributed_resilient,
+    CodeFilter, JemMapper, MapScratch, MapperConfig, Mapping, QuerySegment, ResilienceOptions,
+    SegmentBatches,
 };
 use jem_index::SubjectId;
 use jem_psim::{CostModel, ExecMode, FaultPlan};
-use jem_seq::SeqRecord;
+use jem_seq::{RecordParser, SeqFormat, SeqRecord};
 use jem_serve::{
     merge_partials, start_router, Client, RouterConfig, SegmentPartials, ServerConfig,
     ServerHandle, ShardRegistry, ShardSpec,
@@ -59,6 +66,7 @@ use jem_sim::{
 use jem_sketch::SketchScheme;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, BufReader};
 
 /// One segment's colliding subjects, ascending, each with its non-zero
 /// `⌈T/32⌉`-word trial mask.
@@ -245,6 +253,67 @@ fn check_offline(w: &World, r: &Reference) {
             one,
             "AnchorPipeline::run_segments at {workers} workers against 1"
         );
+    }
+}
+
+/// Returns one byte per `read` call, so a parser over it lags far behind
+/// the mapping workers it feeds.
+struct OneByteReader<'a>(&'a [u8]);
+
+impl std::io::Read for OneByteReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&byte, rest)), Some(slot)) => {
+                *slot = byte;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// The streamed driver `jem map` runs: the reads as FASTQ bytes, parsed
+/// into [`SegmentBatches`] on the calling thread and fed through the
+/// bounded queue to 1, 2, 5 and 16 workers — from the whole buffer and
+/// through a reader that yields one byte per call. The mappings must
+/// equal the reference, and the fused pipeline's PAF rows
+/// `AnchorPipeline::run_segments`' over the collected segments.
+fn check_streamed(w: &World, r: &Reference) {
+    let mut fastq = Vec::new();
+    for read in &w.reads {
+        let quality = "I".repeat(read.seq.len());
+        fastq.extend(format!("@{}\n", read.id).bytes());
+        fastq.extend(&read.seq);
+        fastq.extend(format!("\n+\n{quality}\n").bytes());
+    }
+    let ell = w.mapper.config().ell;
+    let parse = |by_byte: bool| {
+        let reader: Box<dyn BufRead + '_> = if by_byte {
+            Box::new(BufReader::new(OneByteReader(&fastq)))
+        } else {
+            Box::new(&fastq[..])
+        };
+        SegmentBatches::new(RecordParser::new(reader, SeqFormat::Fastq), ell)
+    };
+    let ids: Vec<&str> = w.reads.iter().map(|read| read.id.as_str()).collect();
+    let refiner = Refiner::new(w.mapper.scheme(), w.mapper.config().k, w.subjects.clone());
+    let pipeline = AnchorPipeline::new(&w.mapper, &refiner);
+    let paf = pipeline.run_segments(&w.segments, 1).paf;
+    for (how, by_byte) in [("whole", false), ("one byte a read", true)] {
+        for workers in [1, 2, 5, 16] {
+            let mut batches = parse(by_byte);
+            let mappings = map_batches_parallel(&w.mapper, &mut batches, workers).unwrap();
+            assert_eq!(mappings, r.mappings, "streamed {how} at {workers} workers");
+            assert_eq!(batches.into_ids(), ids, "streamed {how}: read ids");
+            let mut batches = parse(by_byte);
+            let out = pipeline.run_batches(&mut batches, workers).unwrap();
+            assert_eq!(
+                out.mappings, r.mappings,
+                "streamed pipeline, {how}, {workers} workers"
+            );
+            assert_eq!(out.paf, paf, "streamed PAF rows, {how}, {workers} workers");
+        }
     }
 }
 
@@ -496,6 +565,7 @@ fn simulated_minimizer_world_matches_the_reference() {
     let world = simulated_world(SketchScheme::Minimizer { w: 10 });
     let reference = Reference::new(&world);
     check_offline(&world, &reference);
+    check_streamed(&world, &reference);
     check_pieces(&world, &reference);
     check_distributed(&world, &reference, 42);
     check_served(&world, &reference);
@@ -506,6 +576,7 @@ fn simulated_syncmer_world_matches_the_reference() {
     let world = simulated_world(SketchScheme::ClosedSyncmer { s: 8 });
     let reference = Reference::new(&world);
     check_offline(&world, &reference);
+    check_streamed(&world, &reference);
     check_pieces(&world, &reference);
     check_served(&world, &reference);
 }
