@@ -1196,8 +1196,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
 ///  [--epoch 0] [--hedge-ms 50] [--breaker-failures 3]
 ///  [--breaker-cooldown-ms 250] [--deadline MS] [--io-timeout-ms 10000]
 ///  [--quota-rate TOKENS/S [--quota-burst N]] [--max-inflight 256]
-///  [--max-conns 1024] [--idle-timeout-ms 2000] [--pool-idle 4]
-///  [--pool-age-ms 1500]
+///  [--max-conns 1024] [--idle-timeout-ms 2000]
 ///  [--metrics FILE] [--snapshot FILE]` — front a set of `jem serve
 ///  --slots` shard processes with a scatter-gather router: full answers
 ///  are byte-identical to a single-process `jem serve`; when shards are
@@ -1209,14 +1208,11 @@ pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
 /// shards). `--quota-rate` turns on per-client admission control at the
 /// router's front door, `--max-inflight` caps concurrently dispatched
 /// queries, and `--max-conns` caps live ingress connections (excess
-/// answered `Busy` and closed). Shard fetches reuse pooled keep-alive
-/// connections:
-/// `--pool-idle` bounds the idle set per shard endpoint (0 disables
-/// reuse) and `--pool-age-ms` retires a socket before the shard's own
-/// idle reaper would (keep it below the shards' `--idle-timeout-ms`).
-/// Runs until `jem query --addr <router> --shutdown`; the final metrics
-/// go to `--metrics` and a topology + breaker-state report to
-/// `--snapshot` (both written atomically).
+/// answered `Busy` and closed). Shard fetches go through one client per
+/// shard endpoint, which reuses its keep-alive connections the way `jem
+/// query`'s client does. Runs until `jem query --addr <router>
+/// --shutdown`; the final metrics go to `--metrics` and a topology +
+/// breaker-state report to `--snapshot` (both written atomically).
 pub fn cmd_route(args: &Args) -> Result<(), CliError> {
     known_flags(
         args,
@@ -1234,8 +1230,6 @@ pub fn cmd_route(args: &Args) -> Result<(), CliError> {
                 "max-inflight",
                 "max-conns",
                 "idle-timeout-ms",
-                "pool-idle",
-                "pool-age-ms",
                 "metrics",
                 "snapshot",
             ],
@@ -1269,10 +1263,6 @@ pub fn cmd_route(args: &Args) -> Result<(), CliError> {
             "idle-timeout-ms",
             2_000,
         )? as u64),
-        pool_max_idle: args.get_or("pool-idle", 4usize)?,
-        pool_max_age: std::time::Duration::from_millis(
-            positive_count(args, "pool-age-ms", 1_500)? as u64
-        ),
     };
     let (n_shards, n_slots) = (registry.len(), registry.n_slots());
     let handle = jem_serve::start_router(registry, addr, &config).map_err(serve_err)?;

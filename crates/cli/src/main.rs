@@ -52,7 +52,7 @@ COMMANDS:
                 [--straggle-ms 0  slow every batch, for deadline testing]
                 [--panic-every 0  panic every Nth index pass, chaos only]
   route       scatter-gather front-end over `jem serve --slots` shards:
-              pooled shard connections, hedged retries, per-shard circuit
+              kept-alive shard connections, hedged retries, per-shard circuit
               breakers, per-client admission quotas, degraded answers
               naming missing shards (DESIGN.md §13, §16)
                 --topology 'LO-HI@ADDR[,REPLICA];...' [--addr
@@ -60,10 +60,8 @@ COMMANDS:
                 [--breaker-failures 3] [--breaker-cooldown-ms 250]
                 [--deadline MS] [--io-timeout-ms 10000]
                 [--quota-rate T/S  0 = off] [--quota-burst N]
-                [--max-inflight 256] [--idle-timeout-ms 2000]
-                [--pool-idle 4  idle conns kept per shard, 0 = off]
-                [--pool-age-ms 1500  retire pooled conns older than this]
-                [--metrics FILE]
+                [--max-inflight 256] [--max-conns 1024]
+                [--idle-timeout-ms 2000] [--metrics FILE]
                 [--snapshot FILE  topology + breaker-state report]
   query       map reads through a running `jem serve` or `jem route`
               (TSV as for map)

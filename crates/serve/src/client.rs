@@ -1,13 +1,17 @@
-//! Blocking client for the `jem-serve` protocol.
+//! Blocking client for the `jem-serve` protocol: `jem query`, the router's
+//! shard fetches and the differential oracle's served checks all send
+//! their requests through it.
 //!
-//! One connection per request: the protocol is strictly
-//! request/response, so a fresh `TcpStream` per call keeps the client
-//! trivially correct under concurrency (no framing state to desynchronize)
-//! at the cost of one TCP handshake per request — negligible next to an
-//! index pass. The client closes the connection once it has the answer;
-//! servers and routers keep connections alive and never close first, so
-//! each request leaves its TCP `TIME_WAIT` on the client's host. `jem query` and the
-//! differential oracle's served checks are built on this.
+//! A [`Client`] keeps a few idle keep-alive connections to its server,
+//! shared by its clones and closed when the last clone drops. Each
+//! exchange takes the newest idle connection that is young enough and
+//! passes a non-blocking health peek, else connects fresh, and keeps the
+//! connection once answered, so a run of requests rides one socket: one
+//! handshake and one `TIME_WAIT` entry, not one per request. An
+//! idempotent request (anything but `Shutdown` and `Reload`) is retried at
+//! most once, on a fresh connection, after any I/O error or a
+//! `ShuttingDown` answer on a reused socket, or after a connection loss on
+//! a fresh one; `Shutdown` and `Reload` go once, on a fresh connection.
 //!
 //! The client writes its identity ([`Client::with_client_id`]) and its
 //! deadline ([`Client::with_deadline`]) into every request's [`Envelope`].
@@ -16,13 +20,32 @@
 //! [`ServeError::Throttled`] with a `retry_after` hint that
 //! [`RetryPolicy`] retries honor. Anonymous clients share one quota.
 
+use crate::ingress::is_timeout;
 use crate::protocol::{
     budget_ms, connect, roundtrip, Envelope, Request, Response, SegmentPartials, ServerInfo,
 };
 use crate::ServeError;
 use jem_core::{Mapping, QuerySegment};
 use jem_index::fnv1a64;
-use std::time::Duration;
+use jem_obs::{MetricsRecorder, Recorder};
+use std::collections::VecDeque;
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Idle connections a client keeps; a surplus one is closed.
+const MAX_IDLE: usize = 4;
+
+/// Oldest an idle connection may be when it is taken. It sits below the
+/// tiers' default 2 s idle deadline, so a client retires a socket before
+/// the server's reaper closes it.
+const MAX_IDLE_AGE: Duration = Duration::from_millis(1500);
+
+/// What the router's clients count: an idle connection reused, a fresh
+/// one opened, a stale, dead or surplus idle one dropped.
+const POOL_HIT: &str = "router.pool_hit";
+const POOL_MISS: &str = "router.pool_miss";
+const POOL_EVICT: &str = "router.pool_evict";
 
 /// A blocking `jem-serve` client bound to one server address.
 #[derive(Clone, Debug)]
@@ -31,6 +54,12 @@ pub struct Client {
     timeout: Duration,
     /// Identity and deadline, written into every request.
     envelope: Envelope,
+    /// Idle keep-alive connections with when each last answered, newest
+    /// last, shared by every clone.
+    idle: Arc<Mutex<VecDeque<(TcpStream, Instant)>>>,
+    /// Where connection decisions are counted: the router's recorder for
+    /// the clients it owns, nowhere otherwise.
+    recorder: Option<Arc<MetricsRecorder>>,
 }
 
 impl Client {
@@ -42,12 +71,17 @@ impl Client {
             addr: addr.into(),
             timeout: Duration::from_secs(30),
             envelope: Envelope::default(),
+            idle: Arc::default(),
+            recorder: None,
         }
     }
 
-    /// Same client with a different connect/read/write timeout.
+    /// Same client with a different connect/read/write timeout. Its
+    /// connections carry the timeout, so the result starts its own idle
+    /// set.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
+        self.idle = Arc::default();
         self
     }
 
@@ -61,13 +95,6 @@ impl Client {
         self
     }
 
-    /// Same client with no request deadline (undoes
-    /// [`Client::with_deadline`]).
-    pub fn without_deadline(mut self) -> Self {
-        self.envelope.deadline_ms = None;
-        self
-    }
-
     /// Same client carrying a caller-chosen identity (at most
     /// [`MAX_CLIENT_ID`](crate::MAX_CLIENT_ID) bytes) in every request's
     /// envelope, keying the server's per-client admission quota and
@@ -77,26 +104,106 @@ impl Client {
         self
     }
 
+    /// Same client counting its connection decisions in `recorder`.
+    pub(crate) fn recording_to(mut self, recorder: Arc<MetricsRecorder>) -> Self {
+        self.recorder = Some(recorder);
+        self
+    }
+
     /// The server address this client targets.
     pub fn addr(&self) -> &str {
         &self.addr
     }
 
-    /// One request/response exchange, transparently absorbing a single
-    /// mid-request connection loss for idempotent requests: a server
-    /// worker that died (or an LB that culled the connection) between our
-    /// write and its reply surfaces as `ConnectionReset`/`BrokenPipe`/
-    /// `UnexpectedEof`, and re-asking an idempotent question on a fresh
-    /// connection is always safe. Non-idempotent requests (`Shutdown`,
-    /// `Reload`) surface the error — re-sending those could act twice.
+    /// One request/response exchange under the module's retry rule.
+    /// `Shutdown` and `Reload` go once, on a fresh connection that is not
+    /// kept: re-sending those could act twice.
     fn exchange(&self, req: &Request) -> Result<Response, ServeError> {
         let body = req.encode(&self.envelope);
-        // One round trip on a fresh connection.
-        let once = || roundtrip(&mut connect(&self.addr, self.timeout)?, &body);
-        match once() {
-            Err(ServeError::Io(ref e)) if is_idempotent(req) && is_connection_loss(e) => once(),
+        if !is_idempotent(req) {
+            return roundtrip(&mut self.open()?, &body);
+        }
+        if let Some(mut conn) = self.take_idle() {
+            match roundtrip(&mut conn, &body) {
+                // The server restarted, its reaper beat the age bound, or
+                // it is shutting down: ask once more, on a fresh socket.
+                Err(ServeError::Io(_)) | Ok(Response::ShuttingDown) => {
+                    self.count(POOL_EVICT, 1);
+                    return self.exchange_fresh(&body);
+                }
+                Ok(resp) => {
+                    self.put_idle(conn);
+                    return Ok(resp);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        match self.exchange_fresh(&body) {
+            Err(ServeError::Io(ref e)) if is_connection_loss(e) => self.exchange_fresh(&body),
             other => other,
         }
+    }
+
+    /// One round trip on a fresh connection, kept afterwards.
+    fn exchange_fresh(&self, body: &[u8]) -> Result<Response, ServeError> {
+        let mut conn = self.open()?;
+        let resp = roundtrip(&mut conn, body)?;
+        self.put_idle(conn);
+        Ok(resp)
+    }
+
+    /// Connect fresh.
+    fn open(&self) -> Result<TcpStream, ServeError> {
+        self.count(POOL_MISS, 1);
+        connect(&self.addr, self.timeout)
+    }
+
+    fn count(&self, counter: &'static str, n: u64) {
+        if let Some(recorder) = &self.recorder {
+            recorder.add(counter, n);
+        }
+    }
+
+    fn idle_set(&self) -> MutexGuard<'_, VecDeque<(TcpStream, Instant)>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The newest idle connection that is young enough and healthy,
+    /// dropping the stale and dead ones found on the way.
+    fn take_idle(&self) -> Option<TcpStream> {
+        let mut idle = self.idle_set();
+        while let Some((stream, since)) = idle.pop_back() {
+            if since.elapsed() <= MAX_IDLE_AGE && healthy(&stream) {
+                self.count(POOL_HIT, 1);
+                return Some(stream);
+            }
+            self.count(POOL_EVICT, 1);
+        }
+        None
+    }
+
+    /// Keep a connection that just delivered an answer, closing the
+    /// oldest idle one if the set is full.
+    fn put_idle(&self, stream: TcpStream) {
+        let mut idle = self.idle_set();
+        idle.push_back((stream, Instant::now()));
+        if idle.len() > MAX_IDLE {
+            idle.pop_front();
+            self.count(POOL_EVICT, 1);
+        }
+    }
+
+    /// Close every idle connection: the router's answer to a hard shard
+    /// failure, so the next fetch or breaker probe cannot reuse a socket
+    /// to a failing endpoint.
+    pub(crate) fn close_idle(&self) {
+        let closed = std::mem::take(&mut *self.idle_set());
+        self.count(POOL_EVICT, closed.len() as u64);
+    }
+
+    /// How many idle connections the client holds.
+    pub(crate) fn idle_conns(&self) -> usize {
+        self.idle_set().len()
     }
 
     /// Liveness probe.
@@ -128,18 +235,6 @@ impl Client {
             Response::Mappings(mappings) => Ok(mappings),
             other => Err(unexpected("Mappings", &other)),
         }
-    }
-
-    /// [`Client::map_segments`] with retries on [`ServeError::Busy`] under
-    /// an explicit [`RetryPolicy`]. Any other error returns immediately —
-    /// in particular [`ServeError::Expired`] is not retried: resending the
-    /// same deadline would just be shed again.
-    pub fn map_segments_with_policy(
-        &self,
-        segments: &[QuerySegment],
-        policy: &RetryPolicy,
-    ) -> Result<Vec<Mapping>, ServeError> {
-        self.with_busy_retry(policy, || self.map_segments(segments))
     }
 
     /// Run `call` with retries on [`ServeError::Busy`] and
@@ -184,23 +279,30 @@ impl Client {
         Err(last)
     }
 
+    /// The `_retry` methods' policy, its jitter seeded from the target
+    /// address: deterministic for a given server (reproducible runs, no
+    /// `SystemTime`), different across servers so co-hosted clients don't
+    /// sync up.
+    fn busy_policy(&self, attempts: usize, backoff: Duration) -> RetryPolicy {
+        RetryPolicy::new(attempts, backoff).with_jitter_seed(fnv1a64(self.addr.as_bytes()))
+    }
+
     /// [`Client::map_segments`] with bounded retries on
-    /// [`ServeError::Busy`]. `attempts` and `backoff` parameterize a
-    /// [`RetryPolicy`] (capped exponential backoff with deterministic
-    /// jitter and a total sleep budget); the signature is unchanged from
-    /// the original linear-backoff version.
+    /// [`ServeError::Busy`] and [`ServeError::Throttled`], under a
+    /// [`RetryPolicy`] of `attempts` attempts and backoff base `backoff`
+    /// (capped exponential backoff with deterministic jitter and a total
+    /// sleep budget). Any other error returns immediately — in particular
+    /// [`ServeError::Expired`] is not retried: resending the same deadline
+    /// would just be shed again.
     pub fn map_segments_retry(
         &self,
         segments: &[QuerySegment],
         attempts: usize,
         backoff: Duration,
     ) -> Result<Vec<Mapping>, ServeError> {
-        let policy = RetryPolicy::new(attempts, backoff)
-            // Seed the jitter from the target address: deterministic for a
-            // given server (reproducible runs, no `SystemTime`), different
-            // across servers so co-hosted clients don't sync up.
-            .with_jitter_seed(fnv1a64(self.addr.as_bytes()));
-        self.map_segments_with_policy(segments, &policy)
+        self.with_busy_retry(&self.busy_policy(attempts, backoff), || {
+            self.map_segments(segments)
+        })
     }
 
     /// Ask a shard server for each segment's colliding subjects with their
@@ -248,9 +350,9 @@ impl Client {
         attempts: usize,
         backoff: Duration,
     ) -> Result<(Vec<Mapping>, Vec<u32>), ServeError> {
-        let policy =
-            RetryPolicy::new(attempts, backoff).with_jitter_seed(fnv1a64(self.addr.as_bytes()));
-        self.with_busy_retry(&policy, || self.map_segments_degraded(segments))
+        self.with_busy_retry(&self.busy_policy(attempts, backoff), || {
+            self.map_segments_degraded(segments)
+        })
     }
 
     /// Ask the server to hot-reload its index from `path` (a `jem index`
@@ -276,7 +378,7 @@ impl Client {
     }
 }
 
-/// Retry behaviour for [`Client::map_segments_with_policy`]: capped
+/// Retry behaviour for [`Client::map_segments_retry`]: capped
 /// exponential backoff with deterministic jitter and a total sleep budget.
 ///
 /// Attempt `i` (1-based, the first retry) sleeps
@@ -331,12 +433,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Same policy with a different total sleep budget.
-    pub fn with_budget(mut self, budget: Duration) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// The pause before retry `attempt` (1-based): capped exponential plus
     /// deterministic jitter in `[0, capped/2]`. Public because the router's
     /// circuit breaker reuses this exact schedule for its reopen cooldown
@@ -387,9 +483,20 @@ fn is_connection_loss(e: &std::io::Error) -> bool {
     )
 }
 
-/// Map an unexpected response onto the matching error. Shared with the
-/// router's pooled fetch path, which speaks the same response vocabulary.
-pub(crate) fn unexpected(wanted: &str, got: &Response) -> ServeError {
+/// Is this idle socket still usable? A keep-alive peer between requests
+/// has nothing to send, so a non-blocking peek must report "would block":
+/// readable data means a desynchronized stream, a zero-byte read means the
+/// peer closed, and any other error means the socket is dead.
+fn healthy(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let alive = matches!(stream.peek(&mut [0u8; 1]), Err(ref e) if is_timeout(e));
+    alive && stream.set_nonblocking(false).is_ok()
+}
+
+/// Map an unexpected response onto the matching error.
+fn unexpected(wanted: &str, got: &Response) -> ServeError {
     match got {
         Response::Busy => ServeError::Busy,
         Response::Expired => ServeError::Expired,
@@ -406,6 +513,7 @@ pub(crate) fn unexpected(wanted: &str, got: &Response) -> ServeError {
 mod tests {
     use super::*;
     use crate::protocol::{read_frame, write_frame};
+    use std::net::TcpListener;
 
     #[test]
     fn backoff_is_capped_exponential_with_bounded_jitter() {
@@ -453,7 +561,7 @@ mod tests {
     /// the request (no reply — the client sees `UnexpectedEof`), and whose
     /// later connections are answered with `reply`.
     fn half_close_then(reply: Response) -> (String, std::thread::JoinHandle<()>) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
             // First connection: swallow the request, close without a reply.
@@ -482,7 +590,9 @@ mod tests {
         client
             .ping()
             .expect("one half-close must be absorbed by a transparent reconnect");
-        // Unblock the stub's remaining accept so it can exit.
+        // Close the kept connection and unblock the stub's remaining
+        // accept so it can exit.
+        drop(client);
         let _ = std::net::TcpStream::connect(&addr);
         server.join().unwrap();
     }
@@ -546,7 +656,7 @@ mod tests {
     /// address puts on the wire, decoded by the stub (which answers
     /// `Pong`).
     fn wire_request(build: impl FnOnce(String) -> Client) -> (Envelope, Request) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
@@ -573,13 +683,7 @@ mod tests {
             deadline_ms: Some(250),
         };
         assert_eq!(identified, (expect, Request::Ping));
-        // `without_deadline` and an empty id undo the two builders.
-        let no_deadline = wire_request(|addr| {
-            Client::new(addr)
-                .with_deadline(Duration::from_millis(250))
-                .without_deadline()
-        });
-        assert_eq!(no_deadline, (Envelope::default(), Request::Ping));
+        // An empty id undoes the identity.
         let no_id = wire_request(|addr| {
             Client::new(addr)
                 .with_client_id("triage-7")
@@ -597,7 +701,7 @@ mod tests {
         let policy = RetryPolicy::new(2, Duration::from_millis(1));
         let hint = Duration::from_millis(30);
         let calls = AtomicUsize::new(0);
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let out: Result<(), ServeError> = client.with_busy_retry(&policy, || {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(ServeError::Throttled { retry_after: hint })
@@ -613,13 +717,143 @@ mod tests {
         }
         // A hint beyond the sleep budget stops retrying immediately but
         // still reports the throttle, not a generic Busy.
-        let stingy =
-            RetryPolicy::new(3, Duration::from_millis(1)).with_budget(Duration::from_millis(5));
+        let stingy = RetryPolicy {
+            budget: Duration::from_millis(5),
+            ..RetryPolicy::new(3, Duration::from_millis(1))
+        };
         let out: Result<(), ServeError> = client.with_busy_retry(&stingy, || {
             Err(ServeError::Throttled {
                 retry_after: Duration::from_secs(60),
             })
         });
         assert!(matches!(out, Err(ServeError::Throttled { .. })));
+    }
+
+    /// A stub server that accepts `conns` connections and answers `Pong`
+    /// to every frame on each until the peer closes. Returns how many
+    /// requests each connection served.
+    fn pong_stub(conns: usize) -> (String, std::thread::JoinHandle<Vec<usize>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let mut served = Vec::new();
+            for _ in 0..conns {
+                let Ok((mut conn, _)) = listener.accept() else {
+                    break;
+                };
+                let _ = conn.set_read_timeout(Some(STUB_TIMEOUT));
+                let mut n = 0;
+                while read_frame(&mut conn).is_ok() {
+                    if write_frame(&mut conn, &Response::Pong.encode()).is_err() {
+                        break;
+                    }
+                    n += 1;
+                }
+                served.push(n);
+            }
+            served
+        });
+        (addr, handle)
+    }
+
+    /// A client counting into a fresh recorder, which it returns too.
+    fn recording_client(addr: &str) -> (Client, Arc<MetricsRecorder>) {
+        let recorder = Arc::new(MetricsRecorder::new());
+        let client = Client::new(addr)
+            .with_timeout(STUB_TIMEOUT)
+            .recording_to(Arc::clone(&recorder));
+        (client, recorder)
+    }
+
+    #[test]
+    fn pooled_exchange_reuses_one_connection() {
+        let (addr, stub) = pong_stub(1);
+        let (client, recorder) = recording_client(&addr);
+        // A clone shares the idle set.
+        let clone = client.clone();
+        for c in [&client, &clone, &client] {
+            c.ping().unwrap();
+        }
+        assert_eq!(client.idle_conns(), 1);
+        // The last clone to drop closes the idle socket, so the stub's
+        // read loop ends.
+        drop(client);
+        assert_eq!(clone.idle_conns(), 1);
+        drop(clone);
+        assert_eq!(
+            stub.join().unwrap(),
+            vec![3],
+            "all three exchanges must ride one connection"
+        );
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("router.pool_miss"), 1);
+        assert_eq!(snap.counter("router.pool_hit"), 2);
+    }
+
+    #[test]
+    fn exchange_recovers_after_the_shard_restarts() {
+        // The stub answers one request per connection, then closes it —
+        // the shape of a shard that restarted between queries.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stub = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let Ok((mut conn, _)) = listener.accept() else {
+                    return;
+                };
+                let _ = conn.set_read_timeout(Some(STUB_TIMEOUT));
+                if read_frame(&mut conn).is_ok() {
+                    let _ = write_frame(&mut conn, &Response::Pong.encode());
+                }
+            }
+        });
+        let (client, recorder) = recording_client(&addr);
+        client.ping().unwrap();
+        // Give the stub's close time to reach our idle socket, then ask
+        // again: whether the health peek catches the dead socket or the
+        // retry-once path does, the answer must come back whole.
+        std::thread::sleep(Duration::from_millis(50));
+        client.ping().unwrap();
+        stub.join().unwrap();
+        let snap = recorder.snapshot();
+        assert!(
+            snap.counter("router.pool_evict") >= 1,
+            "the dead idle socket must be evicted"
+        );
+    }
+
+    #[test]
+    fn pool_evicts_stale_and_bounds_idle_conns() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Keep the server halves alive so health peeks see open sockets.
+        let mut server_halves = Vec::new();
+        let mut idle_conn = |client: &Client| {
+            let c = TcpStream::connect(&addr).unwrap();
+            server_halves.push(listener.accept().unwrap().0);
+            client.put_idle(c);
+        };
+        let (client, recorder) = recording_client(&addr);
+        // Age bound: a connection past the bound is dropped when taken.
+        idle_conn(&client);
+        std::thread::sleep(MAX_IDLE_AGE + Duration::from_millis(50));
+        assert!(client.take_idle().is_none(), "stale conn must not reuse");
+        assert_eq!(recorder.snapshot().counter("router.pool_evict"), 1);
+        // Idle bound: the set never exceeds MAX_IDLE.
+        for _ in 0..MAX_IDLE + 2 {
+            idle_conn(&client);
+        }
+        assert_eq!(client.idle_conns(), MAX_IDLE);
+        assert_eq!(recorder.snapshot().counter("router.pool_evict"), 3);
+        // A healthy idle socket is reused, newest first.
+        assert!(client.take_idle().is_some());
+        assert_eq!(recorder.snapshot().counter("router.pool_hit"), 1);
+        // Closing the idle set empties it.
+        client.close_idle();
+        assert_eq!(client.idle_conns(), 0);
+        assert_eq!(
+            recorder.snapshot().counter("router.pool_evict"),
+            3 + MAX_IDLE as u64 - 1
+        );
     }
 }

@@ -10,7 +10,8 @@
 //!   answers.
 //! * **connection loop** (one per live connection) — every connection is
 //!   kept alive until the peer closes it. Between frames it waits under
-//!   the idle deadline: a peer that stays quiet past it is reaped
+//!   the idle deadline, which runs from the connection's last frame in or
+//!   answer out: a peer that stays quiet that long is reaped
 //!   (`<tier>.reaped_idle`) unless it is owed answers, in which case
 //!   silence means it is waiting on us. Mid-frame, the I/O timeout
 //!   applies, and a stall is reaped the same way. A malformed frame is
@@ -43,7 +44,7 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The counters an ingress keeps, each under its tier's prefix.
@@ -86,7 +87,8 @@ pub(crate) struct IngressConfig {
     /// Socket timeout while a frame is in flight, and the read gate's
     /// patience.
     pub io_timeout: Duration,
-    /// How long a connection owed nothing may sit quiet between frames.
+    /// How long a connection owed nothing may go without a frame in or an
+    /// answer out.
     pub idle_timeout: Duration,
     /// Max simultaneous live connections.
     pub max_conns: usize,
@@ -189,6 +191,7 @@ impl Ingress {
                     stream,
                     next: 0,
                     pending: BTreeMap::new(),
+                    last_write: Instant::now(),
                 }),
                 flushed: Condvar::new(),
                 recorder: Arc::clone(&self.recorder),
@@ -208,20 +211,26 @@ impl Ingress {
                 self.recorder.add(counters.write_stalled, 1);
                 return;
             }
-            // Idle phase: wait (bounded) for the next frame's first byte.
-            if reader.set_read_timeout(Some(config.idle_timeout)).is_err() {
+            // Idle phase: wait for the next frame's first byte until the
+            // connection has gone the idle timeout since its last answer
+            // (every frame is answered, so also since its last frame). A
+            // connection owed answers is quiet because it waits on us.
+            let quiet = writer.lock().last_write.elapsed();
+            let wait = match config.idle_timeout.checked_sub(quiet) {
+                Some(left) if !left.is_zero() => left,
+                _ if inflight.load(Ordering::Acquire) > 0 => config.idle_timeout,
+                _ => {
+                    self.recorder.add(counters.reaped_idle, 1);
+                    return;
+                }
+            };
+            if reader.set_read_timeout(Some(wait)).is_err() {
                 return;
             }
             match reader.peek(&mut [0u8; 1]) {
                 Ok(0) => return, // peer closed
                 Ok(_) => {}
-                Err(e) if is_timeout(&e) => {
-                    if inflight.load(Ordering::Acquire) > 0 {
-                        continue; // quiet but waiting on us, not idle
-                    }
-                    self.recorder.add(counters.reaped_idle, 1);
-                    return;
-                }
+                Err(e) if is_timeout(&e) => continue,
                 Err(_) => return,
             }
             // Frame phase: bytes are flowing, so hold the peer to the I/O
@@ -316,9 +325,16 @@ struct WriteState {
     next: u64,
     /// Answers that finished ahead of their turn, encoded, by sequence.
     pending: BTreeMap<u64, Vec<u8>>,
+    /// When an answer last went on the wire (the connection's start
+    /// before the first).
+    last_write: Instant,
 }
 
 impl ConnWriter {
+    fn lock(&self) -> MutexGuard<'_, WriteState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Answer request `seq` with `resp`, writing it now if every earlier
     /// request is answered and buffering it otherwise. Returns `false`,
     /// and drops `resp`, if `seq` was already answered: the peer sees
@@ -326,10 +342,7 @@ impl ConnWriter {
     /// up: the write error is counted and the sequence still advances, so
     /// later answers never jam behind a dead socket.
     fn send(&self, seq: u64, resp: &Response) -> bool {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut st = self.lock();
         if seq < st.next || st.pending.contains_key(&seq) {
             return false;
         }
@@ -345,8 +358,9 @@ impl ConnWriter {
             st.next += 1;
             wrote = true;
         }
-        drop(st);
         if wrote {
+            st.last_write = Instant::now();
+            drop(st);
             self.flushed.notify_all();
         }
         true
@@ -357,10 +371,7 @@ impl ConnWriter {
     /// on `timeout`: the connection is wedged and the caller closes it.
     fn wait_for_room(&self, next_seq: u64, limit: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut st = self.lock();
         while next_seq.saturating_sub(st.next) >= limit {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
@@ -368,7 +379,7 @@ impl ConnWriter {
             let (guard, _) = self
                 .flushed
                 .wait_timeout(st, left)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
         }
         true

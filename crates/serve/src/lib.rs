@@ -22,8 +22,11 @@
 //! accept loop with a connection cap, and one keep-alive connection loop
 //! with idle reaping and in-order answers to pipelined requests.
 //!
-//! [`Client`] is the blocking client library the `jem query` CLI is built
-//! on. Server-side mappings are sorted into the total order documented on
+//! [`Client`] is the one way the tier sends a request: `jem query` and the
+//! router's shard fetches both go through it. It keeps a few health-checked
+//! keep-alive connections to its server, so a run of requests rides one
+//! socket, and it retries an idempotent request at most once, on a fresh
+//! connection. Server-side mappings are sorted into the total order documented on
 //! [`jem_core::Mapping`], so a served batch renders byte-identically to the
 //! offline `jem map` TSV; the workspace's differential oracle
 //! (`tests/oracle.rs`) checks served and routed answers against the
@@ -61,7 +64,6 @@ pub use queue::{FairQueue, PushError};
 pub use registry::{ShardRegistry, ShardSpec};
 pub use router::{
     merge_partials, start_router, validate_partials, RouterConfig, RouterHandle, RouterReport,
-    ShardConnPool,
 };
 pub use server::{start, ServerConfig, ServerHandle};
 

@@ -21,14 +21,15 @@
 //!   ([`Request::MapPartial`]) with the router's *remaining* deadline
 //!   budget forwarded, so a shard never works past the instant the client
 //!   stopped waiting.
-//! * **pooled connections** — shard fetches go through a
-//!   [`ShardConnPool`]: health-checked keep-alive connections per shard
-//!   endpoint (bounded idle set, age-based reaping, eviction on error),
-//!   so a steady query load reuses sockets instead of opening one per
+//! * **shard clients** — the router holds one [`Client`] per shard
+//!   endpoint, primary and replica. Fetches, hedges and `Info` all go
+//!   through them, so a steady query load reuses each client's
+//!   health-checked keep-alive connections instead of opening one per
 //!   shard per query — no FD exhaustion under fan-out, no handshake on
-//!   the tail. Shard servers keep every connection alive. Each fetch's
-//!   [`Envelope`] forwards the originating client id (or the router's own
-//!   when there is none) and the remaining deadline budget.
+//!   the tail. The clients count their connection decisions in the
+//!   router's recorder (`router.pool_{hit,miss,evict}`). Each fetch clones
+//!   its shard's client with the originating client id (or the router's
+//!   own when there is none) and the remaining deadline budget.
 //! * **hedging** — a shard that has not answered within the straggler
 //!   threshold gets a second, racing request on its replica (or the
 //!   primary again); first answer wins, the loser is discarded. Hedges
@@ -41,7 +42,7 @@
 //!   exactly one probe is let through (the half-open slot is reserved
 //!   under the breaker lock, so racing fetches cannot double-probe) —
 //!   success closes the breaker, failure reopens it with a longer
-//!   cooldown. A shard's hard failure also evicts its pooled
+//!   cooldown. A shard's hard failure also closes its clients' idle
 //!   connections: a breaker-open endpoint never serves stale sockets.
 //! * **merge** — a subject's trial masks from disjoint slot ranges OR
 //!   associatively and commutatively ([`merge_partials`]); the argmax over
@@ -58,24 +59,20 @@
 //!   answer dressed as a full one.
 //!
 //! [`AdmissionControl`]: crate::AdmissionControl
-//! [`Envelope`]: crate::Envelope
 
 use crate::admission::{AdmissionControl, QuotaConfig};
-use crate::client::{unexpected, Client, RetryPolicy};
-use crate::ingress::{ingress_counters, is_timeout, Ingress, IngressConfig, Reply};
-use crate::protocol::{
-    budget_ms, connect, roundtrip, Envelope, Request, Response, SegmentPartials, ServerInfo,
-};
+use crate::client::{Client, RetryPolicy};
+use crate::ingress::{ingress_counters, Ingress, IngressConfig, Reply};
+use crate::protocol::{Envelope, Request, Response, SegmentPartials};
 use crate::registry::ShardRegistry;
 use crate::server::throttled;
 use crate::ServeError;
 use jem_core::{Mapping, QuerySegment};
 use jem_index::{mask_fits, mask_words, rank_order, trial_count, SubjectId};
 use jem_obs::{MetricsRecorder, Recorder, Snapshot, Span};
-use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -116,13 +113,6 @@ pub struct RouterConfig {
     /// another handler thread (≥ 1) — the same flood/slow-loris bound the
     /// shard servers enforce.
     pub max_conns: usize,
-    /// Idle pooled connections kept per shard endpoint. `0` disables
-    /// reuse (every fetch connects fresh, the pre-pool behavior).
-    pub pool_max_idle: usize,
-    /// Oldest a pooled connection may be before checkout discards it.
-    /// Keep it *below* the shard servers' `idle_timeout` so the pool
-    /// retires a socket before the shard's reaper does.
-    pub pool_max_age: Duration,
 }
 
 impl Default for RouterConfig {
@@ -137,8 +127,6 @@ impl Default for RouterConfig {
             quota: QuotaConfig::default(),
             max_inflight: 256,
             max_conns: 1024,
-            pool_max_idle: 4,
-            pool_max_age: Duration::from_millis(1500),
         }
     }
 }
@@ -160,144 +148,6 @@ impl RouterConfig {
             return Err(ServeError::Config("idle_timeout must be positive".into()));
         }
         self.quota.validate().map_err(ServeError::Config)
-    }
-}
-
-/// One idle pooled connection and when it was last checked in.
-struct PooledConn {
-    stream: TcpStream,
-    since: Instant,
-}
-
-/// A bounded pool of health-checked keep-alive connections per shard
-/// endpoint. Checkout prefers the most recently used socket (it is the
-/// most likely to still be alive), discards ones past `max_age` or whose
-/// health peek fails, and counts every decision
-/// (`router.pool_{hit,miss,evict}`). [`ShardConnPool::exchange`] is the
-/// full fetch path: reuse a pooled connection when one is healthy,
-/// connect fresh otherwise, and absorb one stale-socket failure by
-/// retrying on a fresh connection — which is also what reconnects the
-/// pool after a shard restart. Exchanges through the pool must be
-/// idempotent requests (the router's fetches are).
-pub struct ShardConnPool {
-    max_idle: usize,
-    max_age: Duration,
-    conns: Mutex<HashMap<String, VecDeque<PooledConn>>>,
-    recorder: Arc<MetricsRecorder>,
-}
-
-impl ShardConnPool {
-    /// A pool keeping at most `max_idle` connections per endpoint, each
-    /// for at most `max_age` after check-in.
-    pub fn new(max_idle: usize, max_age: Duration, recorder: Arc<MetricsRecorder>) -> Self {
-        ShardConnPool {
-            max_idle,
-            max_age,
-            conns: Mutex::new(HashMap::new()),
-            recorder,
-        }
-    }
-
-    /// Is this idle socket still usable? A keep-alive peer between
-    /// requests has nothing to send, so a non-blocking peek must report
-    /// "would block": readable data means a desynchronized stream, a
-    /// zero-byte read means the peer closed, and any other error means
-    /// the socket is dead.
-    fn healthy(stream: &TcpStream) -> bool {
-        if stream.set_nonblocking(true).is_err() {
-            return false;
-        }
-        let mut probe = [0u8; 1];
-        let alive = matches!(stream.peek(&mut probe), Err(ref e) if is_timeout(e));
-        alive && stream.set_nonblocking(false).is_ok()
-    }
-
-    /// Take a healthy pooled connection for `addr`, evicting stale and
-    /// dead ones found on the way. `None` means the caller connects
-    /// fresh.
-    fn checkout(&self, addr: &str) -> Option<TcpStream> {
-        let mut conns = self.conns.lock().expect("pool lock poisoned");
-        let queue = conns.get_mut(addr)?;
-        while let Some(pooled) = queue.pop_back() {
-            if pooled.since.elapsed() > self.max_age || !Self::healthy(&pooled.stream) {
-                self.recorder.add("router.pool_evict", 1);
-                continue;
-            }
-            self.recorder.add("router.pool_hit", 1);
-            return Some(pooled.stream);
-        }
-        None
-    }
-
-    /// Return a connection to `addr`'s idle set after a successful
-    /// exchange, discarding the oldest if the set is full.
-    fn checkin(&self, addr: &str, stream: TcpStream) {
-        if self.max_idle == 0 {
-            return; // pooling disabled: every fetch connects fresh
-        }
-        let mut conns = self.conns.lock().expect("pool lock poisoned");
-        let queue = conns.entry(addr.to_string()).or_default();
-        queue.push_back(PooledConn {
-            stream,
-            since: Instant::now(),
-        });
-        while queue.len() > self.max_idle {
-            queue.pop_front();
-            self.recorder.add("router.pool_evict", 1);
-        }
-    }
-
-    /// Drop every pooled connection for `addr` — called when the endpoint
-    /// hard-fails, so a breaker-open shard never serves stale sockets on
-    /// its next probe.
-    pub fn evict_endpoint(&self, addr: &str) {
-        let mut conns = self.conns.lock().expect("pool lock poisoned");
-        if let Some(queue) = conns.remove(addr) {
-            self.recorder.add("router.pool_evict", queue.len() as u64);
-        }
-    }
-
-    /// How many idle connections the pool currently holds for `addr`.
-    pub fn idle(&self, addr: &str) -> usize {
-        let conns = self.conns.lock().expect("pool lock poisoned");
-        conns.get(addr).map_or(0, VecDeque::len)
-    }
-
-    /// One request/response round-trip against `addr`, through a pooled
-    /// connection when a healthy one is idle, else a fresh one (checked
-    /// in afterwards for the next exchange). A reused socket that turns
-    /// out to be dead mid-exchange — the shard restarted, or its reaper
-    /// beat our age bound — is absorbed by retrying once on a fresh
-    /// connection; `body` (an encoded request) must therefore be
-    /// idempotent.
-    pub fn exchange(
-        &self,
-        addr: &str,
-        body: &[u8],
-        timeout: Duration,
-    ) -> Result<Response, ServeError> {
-        if let Some(mut conn) = self.checkout(addr) {
-            match roundtrip(&mut conn, body) {
-                // The pooled socket died underneath us — or its server is
-                // mid-shutdown (a restart in progress): fall through to a
-                // fresh connection instead of failing the fetch. If the
-                // endpoint really is gone, the fresh connect fails typed.
-                Err(ServeError::Io(_)) | Ok(Response::ShuttingDown) => {
-                    self.recorder.add("router.pool_evict", 1)
-                }
-                Ok(resp) => {
-                    self.checkin(addr, conn);
-                    return Ok(resp);
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            self.recorder.add("router.pool_miss", 1);
-        }
-        let mut conn = connect(addr, timeout)?;
-        let resp = roundtrip(&mut conn, body)?;
-        self.checkin(addr, conn);
-        Ok(resp)
     }
 }
 
@@ -324,13 +174,41 @@ struct RouterShared {
     config: RouterConfig,
     states: Vec<Mutex<Breaker>>,
     admission: AdmissionControl,
-    pool: Arc<ShardConnPool>,
+    /// Each shard's clients, in registry order: its primary's and, when it
+    /// has one, its replica's.
+    clients: Vec<(Client, Option<Client>)>,
     recorder: Arc<MetricsRecorder>,
     /// Concurrently dispatched queries, bounded by
     /// [`RouterConfig::max_inflight`].
     inflight: AtomicUsize,
-    /// Lazily fetched shard `Info`, rewritten to the router's slot count.
-    info: RwLock<Option<ServerInfo>>,
+}
+
+impl RouterShared {
+    /// Router state over `registry`, its clients counting into
+    /// `recorder`.
+    fn new(registry: ShardRegistry, config: &RouterConfig, recorder: Arc<MetricsRecorder>) -> Self {
+        let client = |addr: &str| {
+            Client::new(addr)
+                .with_timeout(config.io_timeout)
+                .recording_to(Arc::clone(&recorder))
+        };
+        let clients = registry
+            .shards()
+            .iter()
+            .map(|spec| (client(&spec.addr), spec.replica.as_deref().map(client)))
+            .collect();
+        RouterShared {
+            states: (0..registry.len())
+                .map(|_| Mutex::new(Breaker::default()))
+                .collect(),
+            registry,
+            config: config.clone(),
+            admission: AdmissionControl::new(config.quota),
+            clients,
+            recorder,
+            inflight: AtomicUsize::new(0),
+        }
+    }
 }
 
 /// An admission granted by a shard's breaker, to be resolved by
@@ -497,23 +375,7 @@ pub fn start_router(
     )?;
     recorder.add("router.started", 1);
     recorder.add("router.shards_configured", registry.len() as u64);
-    let states = (0..registry.len())
-        .map(|_| Mutex::new(Breaker::default()))
-        .collect();
-    let shared = Arc::new(RouterShared {
-        registry,
-        states,
-        admission: AdmissionControl::new(config.quota),
-        pool: Arc::new(ShardConnPool::new(
-            config.pool_max_idle,
-            config.pool_max_age,
-            Arc::clone(&recorder),
-        )),
-        config: config.clone(),
-        recorder,
-        inflight: AtomicUsize::new(0),
-        info: RwLock::new(None),
-    });
+    let shared = Arc::new(RouterShared::new(registry, config, recorder));
     let accept = {
         let shared = Arc::clone(&shared);
         let ingress = Arc::clone(&ingress);
@@ -597,18 +459,14 @@ fn route_map(
     });
 }
 
-/// The router's `Info`: any healthy shard's info with the shard count
-/// rewritten to the global slot count (all shards serve the same index
-/// parameters — only slot ownership differs). Cached after first success.
-fn router_info(shared: &Arc<RouterShared>) -> Response {
-    if let Some(info) = shared.info.read().expect("info lock poisoned").clone() {
-        return Response::Info(info);
-    }
-    for spec in shared.registry.shards() {
-        let client = Client::new(spec.addr.clone()).with_timeout(shared.config.io_timeout);
-        if let Ok(mut info) = client.info() {
+/// The router's `Info`: the first reachable shard's info, asked afresh
+/// each time so a shard `Reload` shows, with the shard count rewritten to
+/// the global slot count (all shards serve the same index parameters —
+/// only slot ownership differs).
+fn router_info(shared: &RouterShared) -> Response {
+    for (primary, _) in &shared.clients {
+        if let Ok(mut info) = primary.info() {
             info.shards = shared.registry.n_slots();
-            *shared.info.write().expect("info lock poisoned") = Some(info.clone());
             return Response::Info(info);
         }
     }
@@ -689,10 +547,10 @@ fn gather(
 }
 
 /// One shard's share of a gather: breaker gate, fetch (with hedging),
-/// validation, breaker report. A hard failure also evicts the shard's
-/// pooled connections — a socket that just failed (or whose endpoint is
-/// about to sit behind an open breaker) must not be reused by the next
-/// query or the half-open probe.
+/// validation, breaker report. A hard failure also closes the shard's idle
+/// connections — a socket that just failed (or whose endpoint is about to
+/// sit behind an open breaker) must not be reused by the next query or the
+/// half-open probe.
 fn shard_outcome(
     shared: &Arc<RouterShared>,
     shard_id: usize,
@@ -718,12 +576,10 @@ fn shard_outcome(
         recorder.add("router.breaker_skips", 1);
         return ShardOutcome::Missing;
     };
-    let spec = &shared.registry.shards()[shard_id];
+    let (primary, replica) = &shared.clients[shard_id];
     let evict = || {
-        shared.pool.evict_endpoint(&spec.addr);
-        if let Some(replica) = &spec.replica {
-            shared.pool.evict_endpoint(replica);
-        }
+        primary.close_idle();
+        replica.iter().for_each(Client::close_idle);
     };
     match fetch_partials(shared, shard_id, client_id, segments, remaining) {
         Ok(partials) => {
@@ -767,12 +623,13 @@ fn shard_outcome(
     }
 }
 
-/// Fetch one shard's partials through the connection pool, hedging to the
-/// replica (or re-dispatching to the primary) if the first attempt goes
-/// silent past the straggler threshold. First answer wins; a losing
-/// attempt's result is discarded (its connection still lands in the pool
-/// for the next query). The envelope carries the originating client's id,
-/// the router's own for an anonymous client, and the remaining budget.
+/// Fetch one shard's partials through its client, hedging to the replica
+/// (or re-dispatching to the primary) if the first attempt goes silent
+/// past the straggler threshold. First answer wins; a losing attempt's
+/// result is discarded (its connection still lands in its client's idle
+/// set for the next query). Each attempt clones its endpoint's client with
+/// the originating client's id, the router's own for an anonymous client,
+/// and the remaining budget.
 fn fetch_partials(
     shared: &Arc<RouterShared>,
     shard_id: usize,
@@ -780,38 +637,26 @@ fn fetch_partials(
     segments: &[QuerySegment],
     budget: Option<Duration>,
 ) -> Result<Vec<SegmentPartials>, ServeError> {
-    let spec = &shared.registry.shards()[shard_id];
-    let envelope = Envelope {
-        client_id: match client_id {
-            "" => ROUTER_CLIENT_ID,
-            id => id,
-        }
-        .to_string(),
-        deadline_ms: budget.map(budget_ms),
+    let (primary, replica) = &shared.clients[shard_id];
+    let client_id = match client_id {
+        "" => ROUTER_CLIENT_ID,
+        id => id,
     };
-    let body = Arc::new(
-        Request::MapPartial {
-            segments: segments.to_vec(),
-        }
-        .encode(&envelope),
-    );
+    let segments: Arc<[QuerySegment]> = segments.into();
     let (tx, rx) = mpsc::channel::<(bool, Result<Vec<SegmentPartials>, ServeError>)>();
     let io_timeout = shared.config.io_timeout;
-    let spawn_attempt = |addr: String, hedged: bool| {
+    let spawn_attempt = |client: &Client, hedged: bool| {
         let tx = tx.clone();
-        let body = Arc::clone(&body);
-        let pool = Arc::clone(&shared.pool);
+        let segments = Arc::clone(&segments);
+        let mut client = client.clone().with_client_id(client_id);
+        if let Some(budget) = budget {
+            client = client.with_deadline(budget);
+        }
         std::thread::spawn(move || {
-            let result = pool
-                .exchange(&addr, &body, io_timeout)
-                .and_then(|resp| match resp {
-                    Response::Partials(partials) => Ok(partials),
-                    other => Err(unexpected("Partials", &other)),
-                });
-            let _ = tx.send((hedged, result));
+            let _ = tx.send((hedged, client.map_segments_partial(&segments)));
         });
     };
-    spawn_attempt(spec.addr.clone(), false);
+    spawn_attempt(primary, false);
     // Hard stop for the whole fetch: the budget if there is one, else a
     // generous multiple of the socket timeout (each attempt thread is
     // itself bounded by connect/read/write timeouts).
@@ -824,8 +669,7 @@ fn fetch_partials(
             Ok(outcome) => first = Some(outcome),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 shared.recorder.add("router.hedges", 1);
-                let target = spec.replica.clone().unwrap_or_else(|| spec.addr.clone());
-                spawn_attempt(target, true);
+                spawn_attempt(replica.as_ref().unwrap_or(primary), true);
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {}
         },
@@ -1067,7 +911,7 @@ fn status_text(shared: &RouterShared) -> String {
             spec.replica.as_deref().unwrap_or("-"),
             st.consecutive_failures,
             st.opens,
-            shared.pool.idle(&spec.addr)
+            shared.clients[i].0.idle_conns()
         );
     }
     out
@@ -1076,7 +920,6 @@ fn status_text(shared: &RouterShared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_frame, write_frame};
     use jem_core::ReadEnd;
 
     fn seg(read_idx: u32, end: ReadEnd) -> QuerySegment {
@@ -1114,21 +957,11 @@ mod tests {
 
     /// A standalone `RouterShared` (no listener) for breaker unit tests.
     fn test_shared(config: RouterConfig) -> RouterShared {
-        let recorder = Arc::new(MetricsRecorder::new());
-        RouterShared {
-            registry: ShardRegistry::parse("0-1@127.0.0.1:1").unwrap(),
-            states: vec![Mutex::new(Breaker::default())],
-            admission: AdmissionControl::new(config.quota),
-            pool: Arc::new(ShardConnPool::new(
-                config.pool_max_idle,
-                config.pool_max_age,
-                Arc::clone(&recorder),
-            )),
-            config,
-            recorder,
-            inflight: AtomicUsize::new(0),
-            info: RwLock::new(None),
-        }
+        RouterShared::new(
+            ShardRegistry::parse("0-1@127.0.0.1:1").unwrap(),
+            &config,
+            Arc::new(MetricsRecorder::new()),
+        )
     }
 
     #[test]
@@ -1363,142 +1196,5 @@ mod tests {
             .expect("dropped probe must release the half-open slot")
             .report(true);
         assert!(shared.admit(0).is_some(), "successful probe closed it");
-    }
-
-    /// A stub shard that accepts `conns` connections and answers `Pong`
-    /// to every frame on each until the peer closes. Returns how many
-    /// requests each connection served.
-    fn pong_stub(conns: usize) -> (String, std::thread::JoinHandle<Vec<usize>>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            let mut served = Vec::new();
-            for _ in 0..conns {
-                let Ok((mut conn, _)) = listener.accept() else {
-                    break;
-                };
-                let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
-                let mut n = 0;
-                while read_frame(&mut conn).is_ok() {
-                    if write_frame(&mut conn, &Response::Pong.encode()).is_err() {
-                        break;
-                    }
-                    n += 1;
-                }
-                served.push(n);
-            }
-            served
-        });
-        (addr, handle)
-    }
-
-    fn ping_body() -> Vec<u8> {
-        Request::Ping.encode(&Envelope {
-            client_id: "pool-test".into(),
-            deadline_ms: None,
-        })
-    }
-
-    #[test]
-    fn pooled_exchange_reuses_one_connection() {
-        let (addr, stub) = pong_stub(1);
-        let recorder = Arc::new(MetricsRecorder::new());
-        let pool = ShardConnPool::new(4, Duration::from_secs(5), Arc::clone(&recorder));
-        let body = ping_body();
-        for _ in 0..3 {
-            let resp = pool.exchange(&addr, &body, Duration::from_secs(5)).unwrap();
-            assert_eq!(resp, Response::Pong);
-        }
-        assert_eq!(pool.idle(&addr), 1);
-        drop(pool); // closes the idle socket so the stub's read loop ends
-        assert_eq!(
-            stub.join().unwrap(),
-            vec![3],
-            "all three exchanges must ride one connection"
-        );
-        let snap = recorder.snapshot();
-        assert_eq!(snap.counter("router.pool_miss"), 1);
-        assert_eq!(snap.counter("router.pool_hit"), 2);
-    }
-
-    #[test]
-    fn exchange_recovers_after_the_shard_restarts() {
-        // The stub answers one request per connection, then closes it —
-        // the shape of a shard that restarted between queries.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let stub = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let Ok((mut conn, _)) = listener.accept() else {
-                    return;
-                };
-                let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
-                if read_frame(&mut conn).is_ok() {
-                    let _ = write_frame(&mut conn, &Response::Pong.encode());
-                }
-            }
-        });
-        let recorder = Arc::new(MetricsRecorder::new());
-        let pool = ShardConnPool::new(4, Duration::from_secs(5), Arc::clone(&recorder));
-        let body = ping_body();
-        assert_eq!(
-            pool.exchange(&addr, &body, Duration::from_secs(5)).unwrap(),
-            Response::Pong
-        );
-        // Give the stub's close time to reach our pooled socket, then
-        // exchange again: whether the health peek catches the dead socket
-        // or the retry-once path does, the answer must come back whole.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(
-            pool.exchange(&addr, &body, Duration::from_secs(5)).unwrap(),
-            Response::Pong
-        );
-        stub.join().unwrap();
-        let snap = recorder.snapshot();
-        assert!(
-            snap.counter("router.pool_evict") >= 1,
-            "the dead pooled socket must be evicted"
-        );
-    }
-
-    #[test]
-    fn pool_evicts_stale_and_bounds_idle_conns() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        // Keep the server halves alive so health peeks see open sockets.
-        let mut server_halves = Vec::new();
-        let mut client_half = |pool: &ShardConnPool| {
-            let c = TcpStream::connect(&addr).unwrap();
-            server_halves.push(listener.accept().unwrap().0);
-            pool.checkin(&addr, c);
-        };
-        let recorder = Arc::new(MetricsRecorder::new());
-        // Age bound: a connection past max_age is discarded at checkout.
-        let pool = ShardConnPool::new(4, Duration::from_millis(1), Arc::clone(&recorder));
-        client_half(&pool);
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(pool.checkout(&addr).is_none(), "stale conn must not reuse");
-        assert_eq!(recorder.snapshot().counter("router.pool_evict"), 1);
-        // Idle bound: the set never exceeds max_idle.
-        let pool = ShardConnPool::new(2, Duration::from_secs(5), Arc::clone(&recorder));
-        for _ in 0..4 {
-            client_half(&pool);
-        }
-        assert_eq!(pool.idle(&addr), 2);
-        // Endpoint eviction empties the set.
-        pool.evict_endpoint(&addr);
-        assert_eq!(pool.idle(&addr), 0);
-    }
-
-    #[test]
-    fn pool_with_zero_idle_never_retains_connections() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let recorder = Arc::new(MetricsRecorder::new());
-        let pool = ShardConnPool::new(0, Duration::from_secs(5), recorder);
-        let c = TcpStream::connect(&addr).unwrap();
-        let _server_half = listener.accept().unwrap();
-        pool.checkin(&addr, c);
-        assert_eq!(pool.idle(&addr), 0, "max_idle 0 disables pooling");
     }
 }

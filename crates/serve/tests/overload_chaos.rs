@@ -529,6 +529,48 @@ fn a_connection_owed_an_answer_is_never_reaped() {
     shard.shutdown();
 }
 
+/// The idle deadline runs from the connection's last answer, not from
+/// when the connection began waiting: a peer that asks again within the
+/// idle timeout of its last answer is served, even though more than the
+/// idle timeout has passed since its previous frame.
+#[test]
+fn the_idle_deadline_runs_from_the_last_answer() {
+    let (mapper, segments) = world();
+    let idle_timeout = Duration::from_millis(400);
+    let server = jem_serve::start(
+        mapper,
+        CodeFilter::slots(2, 0..2),
+        "127.0.0.1:0",
+        &ServerConfig {
+            idle_timeout,
+            straggle_ms: 200,
+            io_timeout: Duration::from_secs(5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let envelope = Envelope::default();
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let map = Request::Map {
+        segments: segments[..1].to_vec(),
+    };
+    write_frame(&mut conn, &map.encode(&envelope)).unwrap();
+    let answer = Response::decode(&read_frame(&mut conn).unwrap()).unwrap();
+    assert!(matches!(answer, Response::Mappings(_)), "got {answer:?}");
+    // 300 ms after the answer, and about 500 ms after the Map frame: past
+    // the idle timeout since the last frame, inside it since the answer.
+    std::thread::sleep(Duration::from_millis(300));
+    write_frame(&mut conn, &Request::Ping.encode(&envelope)).unwrap();
+    let pong = read_frame(&mut conn)
+        .map_err(|e| e.to_string())
+        .and_then(|body| Response::decode(&body).map_err(|e| e.to_string()));
+    assert_eq!(pong, Ok(Response::Pong), "the Ping must be answered");
+    drop(conn);
+    assert_eq!(server.shutdown().counter("serve.reaped_idle"), 0);
+}
+
 /// The router's front door is capped like the shard servers': past
 /// `max_conns` live connections, new ones are answered typed `Busy` and
 /// closed instead of pinning an unbounded number of handler threads, and

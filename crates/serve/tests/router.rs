@@ -14,7 +14,7 @@
 // single-shard ones — not ranges meant to be expanded into elements.
 #![allow(clippy::single_range_in_vec_init)]
 
-use jem_core::{make_segments, CodeFilter, JemMapper, MapperConfig, QuerySegment};
+use jem_core::{make_segments, save_index, CodeFilter, JemMapper, MapperConfig, QuerySegment};
 use jem_seq::SeqRecord;
 use jem_serve::{
     merge_partials, read_frame, start_router, write_frame, ChaosAction, ChaosPlan, ChaosProxy,
@@ -330,6 +330,43 @@ fn router_info_rewrites_the_slot_count_and_tiers_refuse_crossed_requests() {
     assert!(report.status.starts_with("# jem-router status"));
     assert!(report.status.contains("breaker=closed"));
     assert_eq!(report.metrics.counter("router.shutdown_requests"), 1);
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// The router asks a shard for `Info` each time: after the shards reload
+/// an index whose subjects have other names, `Info` through the router
+/// names the new subjects, not the ones it first saw.
+#[test]
+fn router_info_follows_a_shard_reload() {
+    let (mapper, _) = world();
+    let genome = Genome::random(20_000, 0.5, 71);
+    let contigs = fragment_contigs(&genome, &ContigProfile::small_genome(), 72);
+    let renamed: Vec<SeqRecord> = contig_records(&contigs)
+        .into_iter()
+        .map(|r| SeqRecord::new(format!("reloaded_{}", r.id), r.seq))
+        .collect();
+    let reloaded = JemMapper::build(&renamed, mapper.config());
+    let path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("router-info-reload-{}.idx", std::process::id()));
+    save_index(&mut std::fs::File::create(&path).unwrap(), &reloaded).unwrap();
+
+    let (handles, registry) = boot_shards(&mapper, 3, &[0..1, 1..3]);
+    let router = start_router(registry, "127.0.0.1:0", &RouterConfig::default()).unwrap();
+    let rclient = Client::new(router.addr().to_string());
+    let before = rclient.info().unwrap();
+    assert_eq!(before.subject_names, mapper.subject_names());
+    for h in &handles {
+        Client::new(h.addr().to_string())
+            .reload(path.display().to_string())
+            .unwrap();
+    }
+    let info = rclient.info().unwrap();
+    assert_eq!(info.subject_names, reloaded.subject_names());
+    assert_eq!(info.shards, 3);
+    std::fs::remove_file(&path).unwrap();
+    router.shutdown();
     for h in handles {
         h.shutdown();
     }

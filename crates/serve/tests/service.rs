@@ -402,6 +402,29 @@ fn an_anonymous_connection_serves_request_after_request() {
     shard.shutdown();
 }
 
+/// A `Client` keeps its connection: two sequential `Map`s ride one
+/// socket, and the `Shutdown` after them goes on a fresh one.
+#[test]
+fn a_client_keeps_its_connection_across_requests() {
+    let (mapper, segments) = world();
+    let seg = segments[..1].to_vec();
+    let expected = {
+        let mut m = mapper.map_segments(&seg);
+        m.sort_unstable();
+        m
+    };
+    let handle = start(mapper, &ServerConfig::default());
+    let client = Client::new(handle.addr().to_string());
+    for _ in 0..2 {
+        assert_eq!(client.map_segments(&seg).unwrap(), expected);
+    }
+    assert_eq!(handle.recorder().snapshot().counter("serve.connections"), 1);
+    client.shutdown_server().unwrap();
+    let snapshot = handle.join();
+    assert_eq!(snapshot.counter("serve.connections"), 2);
+    assert_eq!(snapshot.counter("serve.requests"), 2);
+}
+
 #[test]
 fn zero_valued_config_is_rejected_not_deadlocked() {
     let (mapper, _) = world();
