@@ -6,8 +6,8 @@ use crate::io::{read_sequences, write_fasta, write_file_atomic, AtomicFile, SeqS
 use jem_anchor::{write_paf, AnchorPipeline, PafRow, RefineScratch, RefineStats, Refiner};
 use jem_core::{
     default_workers, load_index_path, make_segments, map_batches_parallel, read_index_config,
-    run_distributed_resilient, save_index, write_mappings_tsv, write_mappings_tsv_named,
-    CodeFilter, JemMapper, MapperConfig, Mapping, QuerySet, ReadEnd, ResilienceOptions,
+    run_distributed_resilient, save_index, write_mappings_tsv_named, CodeFilter, JemMapper,
+    MapperConfig, Mapping, QuerySegment, ReadEnd, ResilienceOptions,
 };
 use jem_eval::{parse_paf, Benchmark, MappingMetrics, PafAccuracy};
 use jem_psim::{CostModel, ExecMode, FaultPlan};
@@ -197,27 +197,83 @@ fn load_or_build_mapper(args: &Args) -> Result<(JemMapper, Option<Vec<SeqRecord>
     }
 }
 
-/// Build a stage-2 [`Refiner`] over `subjects`, first checking the contig
-/// set actually belongs to `mapper`'s index — coordinate output against
-/// the wrong FASTA would silently name the wrong contigs.
-fn build_refiner(mapper: &JemMapper, subjects: Vec<SeqRecord>) -> Result<Refiner, CliError> {
-    if subjects.len() != mapper.n_subjects() {
+/// `--paf`'s path, refused as a usage error without the `--subjects`
+/// stage 2 re-sketches.
+fn paf_with_subjects(args: &Args) -> Result<Option<&str>, CliError> {
+    let paf = args.get("paf");
+    if paf.is_some() && args.get("subjects").is_none() {
+        return Err(CliError::Usage(
+            "--paf needs --subjects: stage-2 refinement re-sketches the contig sequences".into(),
+        ));
+    }
+    Ok(paf)
+}
+
+/// Build a stage-2 [`Refiner`] over `subjects`, first checking they are
+/// the contig set `names` lists — the loaded index's or the served one's
+/// — since coordinate output against the wrong FASTA would silently name
+/// the wrong contigs.
+fn build_refiner(
+    names: &[String],
+    scheme: SketchScheme,
+    k: usize,
+    subjects: Vec<SeqRecord>,
+) -> Result<Refiner, CliError> {
+    if subjects.len() != names.len() {
         return Err(CliError::Data(format!(
             "--subjects holds {} sequences but the index names {} — not the indexed contig set",
             subjects.len(),
-            mapper.n_subjects()
+            names.len()
         )));
     }
-    for (i, rec) in subjects.iter().enumerate() {
-        let expect = mapper.subject_name(i as u32);
-        if rec.id != expect {
+    for (i, (rec, expect)) in subjects.iter().zip(names).enumerate() {
+        if rec.id != *expect {
             return Err(CliError::Data(format!(
                 "--subjects disagrees with the index at subject {i}: {:?} vs indexed {expect:?}",
                 rec.id
             )));
         }
     }
-    Ok(Refiner::new(mapper.scheme(), mapper.config().k, subjects))
+    Ok(Refiner::new(scheme, k, subjects))
+}
+
+/// The one output step of `jem map` and `jem query`, run after the last
+/// segment is mapped: the summary line, then the stage-2 rows to their
+/// `--paf` path when the run refined, then the TSV to `--out` or stdout.
+/// Each file is created only here, through [`AtomicFile`].
+fn write_outputs(
+    args: &Args,
+    ids: &[String],
+    names: &[String],
+    trials: usize,
+    mappings: &[Mapping],
+    paf: Option<(&str, &[PafRow])>,
+) -> Result<(), CliError> {
+    eprintln!(
+        "{} reads against {} subjects: {} end segments mapped",
+        ids.len(),
+        names.len(),
+        mappings.len()
+    );
+    if let Some((path, rows)) = paf {
+        let mut out = AtomicFile::create(path).map_err(CliError::io(path))?;
+        write_paf(&mut out, rows, ids, names).map_err(CliError::io(path))?;
+        out.commit().map_err(CliError::io(path))?;
+        eprintln!("{} segments refined to coordinates → {path}", rows.len());
+    }
+    match args.get("out") {
+        Some(path) => {
+            let mut out = AtomicFile::create(path).map_err(CliError::io(path))?;
+            write_mappings_tsv_named(&mut out, mappings, ids, names, trials)
+                .map_err(CliError::format(path))?;
+            out.commit().map_err(CliError::io(path))?;
+        }
+        None => {
+            write_mappings_tsv_named(&mut std::io::stdout().lock(), mappings, ids, names, trials)
+                .map_err(CliError::format("<stdout>"))?
+        }
+    }
+    Ok(())
 }
 
 /// `jem map (--index index.jem | --subjects contigs.fa) --queries reads.fq
@@ -253,12 +309,7 @@ pub fn cmd_map(args: &Args) -> Result<(), CliError> {
     let metrics = metrics_recorder(args)?;
     let workers = thread_count(args)?;
     let queries = args.req("queries")?;
-    let paf_path = args.get("paf");
-    if paf_path.is_some() && args.get("subjects").is_none() {
-        return Err(CliError::Usage(
-            "--paf needs --subjects: stage-2 refinement re-sketches the contig sequences".into(),
-        ));
-    }
+    let paf_path = paf_with_subjects(args)?;
     let ell = match (args.get("index"), args.get("subjects")) {
         (Some(path), _) => {
             read_index_config(Path::new(path))
@@ -296,36 +347,14 @@ pub fn cmd_map(args: &Args) -> Result<(), CliError> {
         }
         _ => (map_batches_parallel(&mapper, &mut batches, workers)?, None),
     };
-    let ids = batches.into_ids();
-    eprintln!(
-        "{} reads against {} subjects: {} end segments mapped",
-        ids.len(),
-        mapper.n_subjects(),
-        mappings.len()
-    );
-    if let Some((paf_path, rows)) = &paf {
-        let mut out = AtomicFile::create(paf_path).map_err(CliError::io(paf_path))?;
-        write_paf(&mut out, rows, &ids, mapper.subject_names()).map_err(CliError::io(paf_path))?;
-        out.commit().map_err(CliError::io(paf_path))?;
-        eprintln!(
-            "{} segments refined to coordinates → {paf_path}",
-            rows.len()
-        );
-    }
-    match args.get("out") {
-        Some(path) => {
-            let mut out = AtomicFile::create(path).map_err(CliError::io(path))?;
-            write_mappings_tsv(&mut out, &mappings, &ids, &mapper)
-                .map_err(CliError::format(path))?;
-            out.commit().map_err(CliError::io(path))?;
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            write_mappings_tsv(&mut lock, &mappings, &ids, &mapper)
-                .map_err(CliError::format("<stdout>"))?;
-        }
-    }
+    write_outputs(
+        args,
+        &batches.into_ids(),
+        mapper.subject_names(),
+        mapper.config().trials,
+        &mappings,
+        paf.as_ref().map(|(path, rows)| (*path, &rows[..])),
+    )?;
     if let Some((path, rec)) = metrics {
         write_metrics(&path, rec)?;
     }
@@ -348,7 +377,16 @@ fn load_for_map(
         Some(subjects) => Ok(subjects),
         None => args.req("subjects").and_then(read_sequences),
     };
-    let refiner = subjects.and_then(|s| build_refiner(&mapper, s)).map(Some);
+    let refiner = subjects
+        .and_then(|s| {
+            build_refiner(
+                mapper.subject_names(),
+                mapper.scheme(),
+                mapper.config().k,
+                s,
+            )
+        })
+        .map(Some);
     Ok((mapper, refiner))
 }
 
@@ -1115,7 +1153,8 @@ fn parse_slot_range(spec: &str, n_slots: usize) -> Result<std::ops::Range<usize>
 /// `--slots LO-HI` makes this process one shard of a router topology: it
 /// keeps only the sketch entries hashing into that slice of the
 /// `--shards`-slot space and answers the router's `MapPartial` requests
-/// from it (every shard of a topology must agree on `--shards`).
+/// from it, refusing a direct `Map` with a typed error (every shard of a
+/// topology must agree on `--shards`).
 ///
 /// The index is loaded and checksum-validated *before* the listen socket
 /// binds: a bad `--index` fails fast with a nonzero exit instead of
@@ -1294,13 +1333,20 @@ pub fn cmd_route(args: &Args) -> Result<(), CliError> {
 ///  --shutdown | --reload FILE) [--client-id NAME] [--chunk 64]
 ///  [--deadline MS] [--out FILE] [--paf FILE --subjects contigs.fa]
 ///  [--allow-degraded]`
-///  — map reads through a running `jem serve`. The index parameters
-///  (segment length, subject names, trial count) come from the server's
-///  `Info` response, so the rendered TSV is byte-identical to an offline
-///  `jem map` against the same index. `--reload FILE` asks the server to
-///  hot-swap its resident index (the path is resolved on the *server's*
-///  filesystem); `--deadline MS` attaches a queue deadline to each mapping
-///  request so an overloaded server sheds it instead of serving it late.
+///  — map reads through a running `jem serve` or `jem route`. The index
+///  parameters (segment length, subject names, trial count) come from the
+///  server's `Info` response, so the rendered TSV is byte-identical to an
+///  offline `jem map` against the same index. `--reload FILE` asks the
+///  server to hot-swap its resident index (the path is resolved on the
+///  *server's* filesystem); `--deadline MS` attaches a queue deadline to
+///  each mapping request so an overloaded server sheds it instead of
+///  serving it late.
+///
+/// The queries stream: parsed into the segment batches `jem map` drains,
+/// sent `--chunk` segments a request as they arrive, each answer checked
+/// and refined against its own request. Errors come before work (usage,
+/// `--queries`, `Info`, `--subjects`, then the parse and the answers;
+/// DESIGN.md §18), and outputs are written once the last answer is in.
 ///
 /// `--client-id NAME` identifies this invocation to quota-enforcing
 /// servers (it rides in every request's envelope; without it the
@@ -1367,105 +1413,67 @@ pub fn cmd_query(args: &Args) -> Result<(), CliError> {
         client = client.with_deadline(std::time::Duration::from_millis(ms));
     }
     let chunk = positive_count(args, "chunk", 64)?;
+    let paf_path = paf_with_subjects(args)?;
     // Opened before the server is contacted, so a missing file fails first.
     let queries = SeqSource::open(args.req("queries")?)?;
     let info = client.info().map_err(serve_err)?;
-    info.config.jem_params().map_err(|e| {
-        CliError::Data(format!(
-            "server at {addr} announced an invalid configuration: {e}"
-        ))
-    })?;
-    let QuerySet { ids, segments } = queries.segments(info.config.ell)?;
-    eprintln!(
-        "querying {addr}: {} reads → {} end segments (ell={}, {} subjects served)",
-        ids.len(),
-        segments.len(),
-        info.config.ell,
-        info.subject_names.len()
-    );
+    let names = &info.subject_names;
+    // Client-side stage 2: the server answers best-contig only, so the
+    // client re-sketches its local copy of the contig set (checked against
+    // the served names before the first request) and refines each served
+    // hit into coordinates. MAPQ margins here see one candidate contig per
+    // segment — within-contig competitors only.
+    let refiner = match paf_path {
+        Some(_) => {
+            let subjects = read_sequences(args.req("subjects")?)?;
+            Some(build_refiner(names, info.scheme, info.config.k, subjects)?)
+        }
+        None => None,
+    };
     let mut mappings: Vec<Mapping> = Vec::new();
+    let mut rows: Vec<PafRow> = Vec::new();
     let mut missing: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    for part in segments.chunks(chunk) {
-        if allow_degraded {
-            let (chunk_mappings, gaps) = client
-                .map_segments_degraded_retry(part, 10, std::time::Duration::from_millis(50))
+    let mut scratch = RefineScratch::default();
+    let mut stats = RefineStats::default();
+    // One request: its answer is checked against the segments it carried
+    // (subject ids and segment identities come off the wire) and refined
+    // against them.
+    let mut ask = |part: &[QuerySegment]| -> Result<(), CliError> {
+        let backoff = std::time::Duration::from_millis(50);
+        let answer = if allow_degraded {
+            let (answer, gaps) = client
+                .map_segments_degraded_retry(part, 10, backoff)
                 .map_err(serve_err)?;
-            mappings.extend(chunk_mappings);
             missing.extend(gaps);
+            answer
         } else {
-            mappings.extend(
-                client
-                    .map_segments_retry(part, 10, std::time::Duration::from_millis(50))
-                    .map_err(serve_err)?,
-            );
-        }
-    }
-    // Chunks arrive individually sorted; restore the documented global
-    // total order so the TSV matches the offline driver byte for byte.
-    mappings.sort_unstable();
-    // Subject ids and segment identities come off the wire: check them
-    // once, before stage 2 or the TSV index anything with them.
-    let by_key: std::collections::HashMap<(u32, ReadEnd), usize> = segments
-        .iter()
-        .enumerate()
-        .map(|(i, s)| ((s.read_idx, s.end), i))
-        .collect();
-    for m in &mappings {
-        if m.subject as usize >= info.subject_names.len() {
-            return Err(CliError::Data(format!(
-                "server at {addr} mapped read {} {} to subject {}, but names only {} subjects",
-                m.read_idx,
-                m.end,
-                m.subject,
-                info.subject_names.len()
-            )));
-        }
-        if !by_key.contains_key(&(m.read_idx, m.end)) {
-            return Err(CliError::Data(format!(
-                "server at {addr} answered read {} {}, which was not asked for",
-                m.read_idx, m.end
-            )));
-        }
-    }
-    eprintln!("{} end segments mapped", mappings.len());
-    if let Some(paf_path) = args.get("paf") {
-        // Client-side stage 2: the server answers best-contig only, so the
-        // client re-sketches its local copy of the contig set (validated
-        // against the served name table) and refines each served hit into
-        // coordinates. MAPQ margins here see one candidate contig per
-        // segment — within-contig competitors only.
-        let subjects_path = args.get("subjects").ok_or_else(|| {
-            CliError::Usage(
-                "--paf needs --subjects: stage-2 refinement runs client-side over the contig \
-                 sequences"
-                    .into(),
-            )
-        })?;
-        let subjects = read_sequences(subjects_path)?;
-        if subjects.len() != info.subject_names.len() {
-            return Err(CliError::Data(format!(
-                "--subjects holds {} sequences but the server names {}",
-                subjects.len(),
-                info.subject_names.len()
-            )));
-        }
-        for (rec, served) in subjects.iter().zip(&info.subject_names) {
-            if rec.id != *served {
+            client
+                .map_segments_retry(part, 10, backoff)
+                .map_err(serve_err)?
+        };
+        for m in &answer {
+            if m.subject as usize >= names.len() {
                 return Err(CliError::Data(format!(
-                    "--subjects disagrees with the served index: {:?} vs served {served:?}",
-                    rec.id
+                    "server at {addr} mapped read {} {} to subject {}, but names only {} subjects",
+                    m.read_idx,
+                    m.end,
+                    m.subject,
+                    names.len()
                 )));
             }
-        }
-        let refiner = Refiner::new(info.scheme, info.config.k, subjects);
-        let mut scratch = RefineScratch::default();
-        let mut stats = RefineStats::default();
-        let mut rows: Vec<PafRow> = Vec::new();
-        for m in &mappings {
-            let seg = &segments[by_key[&(m.read_idx, m.end)]];
-            if let Some(p) =
-                refiner.refine_segment(&seg.seq, &[(m.subject, m.hits)], &mut scratch, &mut stats)
-            {
+            // A request's segments ascend by (read, end), as parsed.
+            let Ok(at) = part.binary_search_by_key(&(m.read_idx, m.end), |s| (s.read_idx, s.end))
+            else {
+                return Err(CliError::Data(format!(
+                    "server at {addr} answered read {} {}, which was not asked for",
+                    m.read_idx, m.end
+                )));
+            };
+            let seg = &part[at].seq;
+            let placement = refiner.as_ref().and_then(|refiner| {
+                refiner.refine_segment(seg, &[(m.subject, m.hits)], &mut scratch, &mut stats)
+            });
+            if let Some(p) = placement {
                 let placed = Mapping {
                     subject: p.subject,
                     hits: p.hits,
@@ -1474,23 +1482,33 @@ pub fn cmd_query(args: &Args) -> Result<(), CliError> {
                 rows.push(PafRow::from_placement(
                     &placed,
                     &p,
-                    seg.seq.len(),
+                    seg.len(),
                     info.config.k,
                 ));
             }
         }
-        let rec = jem_obs::recorder();
-        if rec.enabled() {
-            stats.flush(rec);
+        mappings.extend(answer);
+        Ok(())
+    };
+    // `--chunk` segments a request, whatever the batch edges: a batch's
+    // remainder leads the next request.
+    let mut batches = queries.batches(info.config.ell);
+    let mut pending: Vec<QuerySegment> = Vec::new();
+    for batch in &mut batches {
+        pending.extend(batch?);
+        let full = pending.len() - pending.len() % chunk;
+        for part in pending[..full].chunks(chunk) {
+            ask(part)?;
         }
-        let mut out = AtomicFile::create(paf_path).map_err(CliError::io(paf_path))?;
-        write_paf(&mut out, &rows, &ids, &info.subject_names).map_err(CliError::io(paf_path))?;
-        out.commit().map_err(CliError::io(paf_path))?;
-        eprintln!(
-            "{} segments refined to coordinates → {paf_path}",
-            rows.len()
-        );
+        pending.drain(..full);
     }
+    if !pending.is_empty() {
+        ask(&pending)?;
+    }
+    // Requests arrive individually sorted; restore the documented global
+    // total order so the outputs match the offline driver byte for byte.
+    mappings.sort_unstable();
+    rows.sort_unstable();
     if !missing.is_empty() {
         eprintln!(
             "WARNING: degraded answer — shards {:?} were missing from the merge; \
@@ -1498,31 +1516,12 @@ pub fn cmd_query(args: &Args) -> Result<(), CliError> {
             missing.iter().collect::<Vec<_>>()
         );
     }
-    match args.get("out") {
-        Some(path) => {
-            let mut out = AtomicFile::create(path).map_err(CliError::io(path))?;
-            write_mappings_tsv_named(
-                &mut out,
-                &mappings,
-                &ids,
-                &info.subject_names,
-                info.config.trials,
-            )
-            .map_err(CliError::format(path))?;
-            out.commit().map_err(CliError::io(path))?;
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            write_mappings_tsv_named(
-                &mut lock,
-                &mappings,
-                &ids,
-                &info.subject_names,
-                info.config.trials,
-            )
-            .map_err(CliError::format("<stdout>"))?;
-        }
-    }
-    Ok(())
+    write_outputs(
+        args,
+        &batches.into_ids(),
+        names,
+        info.config.trials,
+        &mappings,
+        paf_path.map(|path| (path, &rows[..])),
+    )
 }

@@ -1,7 +1,7 @@
 //! Shared file I/O helpers for the CLI commands.
 
 use crate::error::CliError;
-use jem_core::{read_segments, QuerySegment, QuerySet, SegmentBatches};
+use jem_core::{QuerySegment, SegmentBatches};
 use jem_seq::{RecordParser, SeqFormat, SeqRecord};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Cursor, Read, Write};
@@ -92,12 +92,6 @@ impl SeqSource {
             out.push(rec.to_seq_record());
         }
         Ok(out)
-    }
-
-    /// Ingest the reads' ids and ℓ-base end segments only, collected
-    /// ([`jem_core::read_segments`]).
-    pub fn segments(self, ell: usize) -> Result<QuerySet, CliError> {
-        read_segments(self.parser, ell).map_err(CliError::format(&self.label))
     }
 
     /// The reads' ℓ-base end segments in batches, parsed as they are
@@ -325,17 +319,16 @@ mod tests {
 
     #[test]
     fn segments_keep_ids_and_ends_only() {
-        let set = sniff(b"@r1\nACGTACGT\n+\nIIIIIIII\n@r2\nAC\n+\nII\n")
+        let mut batches = sniff(b"@r1\nACGTACGT\n+\nIIIIIIII\n@r2\nAC\n+\nII\n")
             .unwrap()
-            .segments(3)
-            .unwrap();
-        assert_eq!(set.ids, ["r1", "r2"]);
-        let ends: Vec<&[u8]> = set.segments.iter().map(|s| &s.seq[..]).collect();
+            .batches(3);
+        let segments: Vec<QuerySegment> = (&mut batches).flat_map(Result::unwrap).collect();
+        assert_eq!(batches.into_ids(), ["r1", "r2"]);
+        let ends: Vec<&[u8]> = segments.iter().map(|s| &s.seq[..]).collect();
         assert_eq!(ends, [&b"ACG"[..], b"CGT", b"AC"]);
-        assert_eq!(
-            sniff(b"").unwrap().segments(3).unwrap(),
-            QuerySet::default()
-        );
+        let mut empty = sniff(b"").unwrap().batches(3);
+        assert!(empty.next().is_none());
+        assert!(empty.into_ids().is_empty());
     }
 
     #[test]

@@ -655,47 +655,43 @@ fn an_anonymous_query_over_quota_exits_75() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A server whose answers do not fit what it announced — a subject id
-/// past its name table — must fail `jem query` with a typed data error
-/// before anything indexes by that id: exit 1, no panic, no output file.
-#[test]
-fn query_refuses_served_subjects_the_server_never_named() {
-    use jem_core::{MapperConfig, Mapping};
-    use jem_serve::{read_frame, write_frame, Request, Response, ServerInfo};
-    use jem_sketch::SketchScheme;
+/// A fake `jem serve` on a free localhost port that announces `info` and
+/// maps every segment to subject 7; returns its address and a count of the
+/// `Map` frames it received.
+fn lying_server(
+    info: jem_serve::ServerInfo,
+) -> (String, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+    use jem_core::Mapping;
+    use jem_serve::{read_frame, write_frame, Request, Response};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
+    let maps = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&maps);
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut conn) = conn else { return };
+            let (info, seen) = (info.clone(), Arc::clone(&seen));
             std::thread::spawn(move || {
                 while let Ok(body) = read_frame(&mut conn) {
                     let resp = match Request::decode(&body) {
-                        Ok((_, Request::Info)) => Response::Info(ServerInfo {
-                            config: MapperConfig {
-                                k: 12,
-                                w: 8,
-                                trials: 4,
-                                ell: 200,
-                                seed: 1,
-                            },
-                            scheme: SketchScheme::Minimizer { w: 8 },
-                            subject_names: vec!["c0".into()],
-                            shards: 1,
-                            batch: 16,
-                        }),
-                        Ok((_, Request::Map { segments })) => Response::Mappings(
-                            segments
-                                .iter()
-                                .map(|s| Mapping {
-                                    read_idx: s.read_idx,
-                                    end: s.end,
-                                    subject: 7,
-                                    hits: 3,
-                                })
-                                .collect(),
-                        ),
+                        Ok((_, Request::Info)) => Response::Info(info.clone()),
+                        Ok((_, Request::Map { segments })) => {
+                            seen.fetch_add(1, Ordering::SeqCst);
+                            Response::Mappings(
+                                segments
+                                    .iter()
+                                    .map(|s| Mapping {
+                                        read_idx: s.read_idx,
+                                        end: s.end,
+                                        subject: 7,
+                                        hits: 3,
+                                    })
+                                    .collect(),
+                            )
+                        }
                         _ => Response::Error("unexpected request".into()),
                     };
                     if write_frame(&mut conn, &resp.encode()).is_err() {
@@ -705,12 +701,44 @@ fn query_refuses_served_subjects_the_server_never_named() {
             });
         }
     });
+    (addr, maps)
+}
+
+/// What [`lying_server`] announces: a valid configuration over `names`.
+fn announced(names: &[&str]) -> jem_serve::ServerInfo {
+    jem_serve::ServerInfo {
+        config: jem_core::MapperConfig {
+            k: 12,
+            w: 8,
+            trials: 4,
+            ell: 200,
+            seed: 1,
+        },
+        scheme: jem_sketch::SketchScheme::Minimizer { w: 8 },
+        subject_names: names.iter().map(|n| n.to_string()).collect(),
+        shards: 1,
+        batch: 16,
+    }
+}
+
+/// One 600-base FASTQ read in `dir`: two 200-base end segments.
+fn one_read(dir: &std::path::Path) -> String {
+    let path = dir.join("q.fq");
+    let read: String = (0..600).map(|i| ['A', 'C', 'G', 'T'][i * 7 % 4]).collect();
+    std::fs::write(&path, format!("@r0\n{read}\n+\n{}\n", "I".repeat(600))).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+/// A server whose answers do not fit what it announced — a subject id
+/// past its name table — must fail `jem query` with a typed data error
+/// before anything indexes by that id: exit 1, no panic, no output file.
+#[test]
+fn query_refuses_served_subjects_the_server_never_named() {
+    let (addr, _) = lying_server(announced(&["c0"]));
     let dir = workdir("lying_server");
     let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    let read: String = (0..600).map(|i| ['A', 'C', 'G', 'T'][i * 7 % 4]).collect();
-    std::fs::write(p("q.fq"), format!("@r0\n{read}\n+\n{}\n", "I".repeat(600))).unwrap();
     let out = jem()
-        .args(["query", "--addr", &addr, "--queries", &p("q.fq")])
+        .args(["query", "--addr", &addr, "--queries", &one_read(&dir)])
         .args(["--out", &p("out.tsv")])
         .output()
         .unwrap();
@@ -722,5 +750,151 @@ fn query_refuses_served_subjects_the_server_never_named() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!dir.join("out.tsv").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// After `Info` and before the first `Map`: an announced configuration no
+/// index can hold, then a `--subjects` file that is not the served contig
+/// set, each fail `jem query` typed (exit 1) with nothing sent to map and
+/// no output file.
+#[test]
+fn query_checks_the_announced_index_before_the_first_map() {
+    let dir = workdir("before_map");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    std::fs::write(p("one.fa"), b">c0\nACGTACGTACGTACGTACGT\n").unwrap();
+    let mut invalid = announced(&["c0"]);
+    invalid.config.trials = 0;
+    for (info, expect) in [
+        (invalid, "invalid configuration"),
+        (announced(&["c0", "c1"]), "--subjects holds 1 sequences"),
+    ] {
+        let (addr, maps) = lying_server(info);
+        let out = jem()
+            .args(["query", "--addr", &addr, "--queries", &one_read(&dir)])
+            .args(["--out", &p("out.tsv"), "--paf", &p("out.paf")])
+            .args(["--subjects", &p("one.fa")])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(expect), "{stderr}");
+        assert_eq!(
+            maps.load(std::sync::atomic::Ordering::SeqCst),
+            0,
+            "{expect}"
+        );
+        for file in ["out.tsv", "out.tsv.tmp", "out.paf", "out.paf.tmp"] {
+            assert!(!dir.join(file).exists(), "{file} left behind");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--paf` without `--subjects` is a usage error found before the server
+/// is contacted: nothing listens on the address, yet the run exits 2
+/// naming `--subjects`.
+#[test]
+fn query_paf_without_subjects_is_a_usage_error() {
+    let dir = workdir("paf_usage");
+    let out = jem()
+        .args([
+            "query",
+            "--addr",
+            "127.0.0.1:9",
+            "--queries",
+            &one_read(&dir),
+        ])
+        .args(["--paf", &dir.join("out.paf").to_string_lossy()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--subjects"), "{stderr}");
+    assert!(!dir.join("out.paf").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `jem query` sends `--chunk` segments a request whatever the ingest's
+/// batch edges: at 7, 64 and 100 the TSV and PAF bytes are the same, and
+/// the TSV is `jem map`'s. A malformed record after 700 reads (21 full
+/// batches, sent and answered) still fails typed, naming its line, with
+/// no output or temporary file left.
+#[test]
+fn query_streams_any_chunk_to_the_same_outputs() {
+    let dir = indexed_world("query_chunks");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    run(jem()
+        .args([
+            "map",
+            "--index",
+            &p("index.jem"),
+            "--queries",
+            &p("reads.fq"),
+        ])
+        .args(["--out", &p("map.tsv")]));
+    let mut late = genome_windows(&dir, 700);
+    late.extend(b"@bad\nACGTACGT\n+\nIIII\n");
+    std::fs::write(p("late.fq"), late).unwrap();
+    let (mut server, addr) = spawn_server(&p("index.jem"), &[]);
+    let query = |queries: &str, chunk: &str, tag: &str| {
+        jem()
+            .args(["query", "--addr", &addr, "--queries", &p(queries)])
+            .args(["--chunk", chunk, "--subjects", &p("contigs.fa")])
+            .args(["--out", &p(&format!("{tag}.tsv"))])
+            .args(["--paf", &p(&format!("{tag}.paf"))])
+            .output()
+            .unwrap()
+    };
+    let mut outputs = Vec::new();
+    for chunk in ["7", "64", "100"] {
+        let out = query("reads.fq", chunk, chunk);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        outputs.push([
+            std::fs::read(p(&format!("{chunk}.tsv"))).unwrap(),
+            std::fs::read(p(&format!("{chunk}.paf"))).unwrap(),
+        ]);
+    }
+    let late = query("late.fq", "64", "late");
+    run(jem().args(["query", "--addr", &addr, "--shutdown"]));
+    assert!(server.wait().unwrap().success());
+    assert!(outputs[0][1].len() > 100, "suspiciously few PAF rows");
+    assert_eq!(outputs[0], outputs[1], "--chunk 7 vs 64");
+    assert_eq!(outputs[0], outputs[2], "--chunk 7 vs 100");
+    assert_eq!(outputs[0][0], std::fs::read(p("map.tsv")).unwrap());
+    let stderr = String::from_utf8_lossy(&late.stderr);
+    assert_eq!(late.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("late.fq") && stderr.contains("line 2804"),
+        "{stderr}"
+    );
+    for file in ["late.tsv", "late.tsv.tmp", "late.paf", "late.paf.tmp"] {
+        assert!(!dir.join(file).exists(), "{file} left behind");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--slots` shard owns a slice of the table: asked to `Map` directly it
+/// answers a typed error pointing at `jem route` (exit 1, no output), never
+/// a ranking of its own slice.
+#[test]
+fn query_against_a_slots_shard_fails_typed() {
+    let dir = indexed_world("slots_shard");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (mut server, addr) = spawn_server(&p("index.jem"), &["--shards", "4", "--slots", "0-2"]);
+    let out = jem()
+        .args(["query", "--addr", &addr, "--queries", &p("reads.fq")])
+        .args(["--out", &p("shard.tsv")])
+        .output()
+        .unwrap();
+    run(jem().args(["query", "--addr", &addr, "--shutdown"]));
+    assert!(server.wait().unwrap().success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("jem route"), "{stderr}");
+    assert!(!dir.join("shard.tsv").exists());
     std::fs::remove_dir_all(&dir).ok();
 }

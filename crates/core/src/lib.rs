@@ -58,6 +58,4 @@ pub use resilient::{
     run_distributed_resilient, DistributedOutcome, ResilienceError, ResilienceOptions,
     StepBreakdown,
 };
-pub use segment::{
-    make_segments, read_segments, QuerySegment, QuerySet, ReadEnd, ReadId, SegmentBatches,
-};
+pub use segment::{make_segments, QuerySegment, ReadEnd, ReadId, SegmentBatches};

@@ -63,7 +63,7 @@
 //! [`jem_index::MaskedRun::from_entries`] folds into the one code-keyed
 //! run the v5 writer takes.
 
-use crate::config::MapperConfig;
+use crate::config::{config_from_words, config_words, MapperConfig, CONFIG_WORDS};
 use crate::mapper::JemMapper;
 use jem_index::{checksum_chain, checksum_words, fnv1a64, FlatTable, MaskedRun, WordSource};
 use jem_mmap::MmapWords;
@@ -84,21 +84,9 @@ fn format_err(msg: impl Into<String>) -> SeqError {
     SeqError::InvalidParameter(msg.into())
 }
 
-fn scheme_words(scheme: SketchScheme) -> (u64, u64) {
-    match scheme {
-        SketchScheme::Minimizer { w } => (0, w as u64),
-        SketchScheme::ClosedSyncmer { s } => (1, s as u64),
-    }
-}
-
-fn scheme_from_words(tag: u64, param: u64) -> Result<SketchScheme, SeqError> {
-    let param = usize::try_from(param)
-        .map_err(|_| format_err(format!("sketch scheme parameter {param} overflows usize")))?;
-    match tag {
-        0 => Ok(SketchScheme::Minimizer { w: param }),
-        1 => Ok(SketchScheme::ClosedSyncmer { s: param }),
-        other => Err(format_err(format!("unknown sketch scheme tag {other}"))),
-    }
+/// A config decode error as a load error naming the index.
+fn config_err(e: SeqError) -> SeqError {
+    format_err(format!("index holds an invalid configuration: {e}"))
 }
 
 /// Serialize a built mapper index in the current (v5) format.
@@ -113,20 +101,10 @@ pub fn save_index<W: Write>(out: &mut W, mapper: &JemMapper) -> Result<(), SeqEr
     let table = mapper.table().blob();
     let names_off = HEADER_WORDS;
     let table_off = names_off + names.len();
-    let c = mapper.config();
-    let (tag, param) = scheme_words(mapper.scheme());
     let mut header = [0u64; HEADER_WORDS];
     header[0] = u64::from_le_bytes(*V5_MAGIC);
     header[1] = (table_off + table.len()) as u64;
-    header[4..11].copy_from_slice(&[
-        c.k as u64,
-        c.w as u64,
-        c.trials as u64,
-        c.ell as u64,
-        c.seed,
-        tag,
-        param,
-    ]);
+    header[4..11].copy_from_slice(&config_words(mapper.config(), mapper.scheme()));
     header[11] = mapper.n_subjects() as u64;
     header[12] = names_off as u64;
     header[13] = names.len() as u64;
@@ -501,21 +479,10 @@ fn header_config(header: &[u64]) -> Result<(MapperConfig, SketchScheme), SeqErro
             header[3]
         )));
     }
-    let config = MapperConfig {
-        k: as_usize(header[4], "k")?,
-        w: as_usize(header[5], "w")?,
-        trials: as_usize(header[6], "trials")?,
-        ell: as_usize(header[7], "ell")?,
-        seed: header[8],
-    };
-    config
-        .jem_params()
-        .map_err(|e| format_err(format!("index holds an invalid configuration: {e}")))?;
-    let scheme = scheme_from_words(header[9], header[10])?;
-    scheme
-        .validate(config.k)
-        .map_err(|e| format_err(format!("index holds an invalid scheme: {e}")))?;
-    Ok((config, scheme))
+    let words = header[4..11]
+        .try_into()
+        .expect("a header holds the config words");
+    config_from_words(words).map_err(config_err)
 }
 
 /// Parse the names section: per subject, a byte length followed by the
@@ -559,23 +526,11 @@ fn parse_names(words: &[u64], n_subjects: usize) -> Result<Vec<String>, SeqError
 
 /// Read and validate the configuration and scheme that open a v3 body.
 fn read_v3_config<R: Read>(input: &mut R) -> Result<(MapperConfig, SketchScheme), SeqError> {
-    let config = MapperConfig {
-        k: read_u64(input)? as usize,
-        w: read_u64(input)? as usize,
-        trials: read_u64(input)? as usize,
-        ell: read_u64(input)? as usize,
-        seed: read_u64(input)?,
-    };
-    config
-        .jem_params()
-        .map_err(|e| format_err(format!("index holds an invalid configuration: {e}")))?;
-    let tag = read_u64(input)?;
-    let param = read_u64(input)?;
-    let scheme = scheme_from_words(tag, param)?;
-    scheme
-        .validate(config.k)
-        .map_err(|e| format_err(format!("index holds an invalid scheme: {e}")))?;
-    Ok((config, scheme))
+    let mut words = [0u64; CONFIG_WORDS];
+    for word in &mut words {
+        *word = read_u64(input)?;
+    }
+    config_from_words(&words).map_err(config_err)
 }
 
 /// Read and validate a v3 body (stream positioned after the 24-byte
@@ -763,20 +718,10 @@ mod tests {
 
     /// The legacy v3 writer, kept only to give the v3 reader fresh bytes.
     fn write_v3<W: Write>(out: &mut W, mapper: &JemMapper) -> Result<(), SeqError> {
-        let c = mapper.config();
         let mut body = Vec::new();
-        for v in [
-            c.k as u64,
-            c.w as u64,
-            c.trials as u64,
-            c.ell as u64,
-            c.seed,
-        ] {
+        for v in config_words(mapper.config(), mapper.scheme()) {
             body.extend_from_slice(&v.to_le_bytes());
         }
-        let (tag, param) = scheme_words(mapper.scheme());
-        body.extend_from_slice(&tag.to_le_bytes());
-        body.extend_from_slice(&param.to_le_bytes());
         body.extend_from_slice(&(mapper.n_subjects() as u64).to_le_bytes());
         for id in 0..mapper.n_subjects() {
             let name = mapper.subject_name(id as u32).as_bytes();

@@ -7,8 +7,7 @@
 //!
 //! [`make_segments`] cuts segments out of whole reads; [`SegmentBatches`]
 //! ingests them straight from a FASTA/FASTQ stream in batches, holding one
-//! read at a time, with the same result, and [`read_segments`] collects
-//! those batches.
+//! read at a time, with the same result.
 
 use crate::parallel::BATCH_SEGMENTS;
 use jem_seq::{RecordParser, SeqError, SeqRecord};
@@ -51,7 +50,7 @@ impl QuerySegment {
 }
 
 /// What output keys name a read by: whole records and bare ids alike, so
-/// the writers serve both [`make_segments`] and [`read_segments`] callers.
+/// the writers serve both [`make_segments`] and [`SegmentBatches`] callers.
 pub trait ReadId {
     /// The read's identifier.
     fn read_id(&self) -> &str;
@@ -67,17 +66,6 @@ impl ReadId for String {
     fn read_id(&self) -> &str {
         self
     }
-}
-
-/// The query set `Q` as the mapper consumes it: every read's id in input
-/// order (indexed by [`QuerySegment::read_idx`]) and the reads' end
-/// segments.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct QuerySet {
-    /// Read ids, one per input record.
-    pub ids: Vec<String>,
-    /// End segments, in `(read_idx, end)` order.
-    pub segments: Vec<QuerySegment>,
 }
 
 /// Append `seq`'s end segments (none when empty, one when `len ≤ ℓ`).
@@ -194,28 +182,6 @@ impl<R: BufRead> Iterator for SegmentBatches<R> {
     }
 }
 
-/// Ingest a FASTA/FASTQ stream as a [`QuerySet`]: the collected
-/// [`SegmentBatches`], keeping only each read's id and its ≤ 2 end
-/// segments. The segments equal `make_segments(&parser_records, ell)` and
-/// the ids the records' ids, but no read is ever held whole.
-///
-/// # Panics
-/// Panics if `ell` is zero, like [`make_segments`].
-pub fn read_segments<R: BufRead>(
-    parser: RecordParser<R>,
-    ell: usize,
-) -> Result<QuerySet, SeqError> {
-    let mut batches = SegmentBatches::new(parser, ell);
-    let mut segments = Vec::new();
-    for batch in &mut batches {
-        segments.extend(batch?);
-    }
-    Ok(QuerySet {
-        ids: batches.into_ids(),
-        segments,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,16 +251,14 @@ mod tests {
         let reads: Vec<SeqRecord> = FastqReader::new(&fastq[..])
             .map(|r| r.unwrap().into_seq_record())
             .collect();
-        let set = read_segments(RecordParser::new(&fastq[..], SeqFormat::Fastq), 4).unwrap();
-        assert_eq!(set.ids, ["long", "short", "edge"]);
-        assert_eq!(set.segments, make_segments(&reads, 4));
-        assert_eq!(
-            set.segments.len(),
-            4,
-            "long: 2, short: 1, edge (len == ell): 1"
-        );
-        assert_eq!(set.segments[1].key(&set.ids), "long/suffix");
-        assert_eq!(set.segments[1].seq, b"GTAC".to_vec());
+        let mut batches = SegmentBatches::new(RecordParser::new(&fastq[..], SeqFormat::Fastq), 4);
+        let segments: Vec<QuerySegment> = (&mut batches).flat_map(Result::unwrap).collect();
+        let ids = batches.into_ids();
+        assert_eq!(ids, ["long", "short", "edge"]);
+        assert_eq!(segments, make_segments(&reads, 4));
+        assert_eq!(segments.len(), 4, "long: 2, short: 1, edge (len == ell): 1");
+        assert_eq!(segments[1].key(&ids), "long/suffix");
+        assert_eq!(segments[1].seq, b"GTAC".to_vec());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The end-segment ingest against its definition: for any FASTA or FASTQ
 //! text — CRLF or LF, blank lines, wrapped lines, reads shorter than,
-//! equal to and longer than ℓ, and corrupted bytes — `read_segments`
+//! equal to and longer than ℓ, and corrupted bytes — `SegmentBatches`
 //! yields exactly `make_segments(read_all(..), ℓ)` and the records' ids,
 //! or the same error.
 
-use jem_core::{make_segments, read_segments, QuerySegment};
+use jem_core::{make_segments, QuerySegment, SegmentBatches};
 use jem_seq::{FastaReader, FastqReader, FastqRecord, RecordParser, SeqFormat, SeqRecord};
 use proptest::prelude::*;
 
@@ -92,9 +92,12 @@ fn ingested(
     format: SeqFormat,
     ell: usize,
 ) -> Result<(Vec<String>, Vec<QuerySegment>), String> {
-    read_segments(RecordParser::new(bytes, format), ell)
-        .map(|set| (set.ids, set.segments))
-        .map_err(|e| e.to_string())
+    let mut batches = SegmentBatches::new(RecordParser::new(bytes, format), ell);
+    let mut segments = Vec::new();
+    for batch in &mut batches {
+        segments.extend(batch.map_err(|e| e.to_string())?);
+    }
+    Ok((batches.into_ids(), segments))
 }
 
 fn reads() -> impl Strategy<Value = Vec<ReadSpec>> {

@@ -52,13 +52,6 @@ pub struct SpanSnapshot {
     pub total_ns: u64,
 }
 
-impl SpanSnapshot {
-    /// Total span seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_ns as f64 / 1e9
-    }
-}
-
 /// A complete, stable snapshot of a recorder's state.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Snapshot {
@@ -495,7 +488,6 @@ mod tests {
         assert_eq!(s.counter("missing"), 0);
         assert_eq!(s.span_ns("map/segments"), 123_456);
         assert_eq!(s.span_ns("missing"), 0);
-        assert!((s.spans["map/segments"].total_secs() - 123_456e-9).abs() < 1e-15);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl CostModel {
         let log_p = (p as f64).log2().ceil();
         self.latency_s * log_p + self.sec_per_byte * bytes as f64
     }
-
-    /// Cost of a point-to-point message of `bytes`.
-    pub fn p2p_cost(&self, bytes: usize) -> f64 {
-        self.latency_s + self.sec_per_byte * bytes as f64
-    }
 }
 
 impl Default for CostModel {
@@ -107,7 +102,6 @@ mod tests {
     #[test]
     fn zero_model_free() {
         assert_eq!(CostModel::zero().collective_cost(64, 1 << 30), 0.0);
-        assert_eq!(CostModel::zero().p2p_cost(1 << 30), 0.0);
     }
 
     #[test]

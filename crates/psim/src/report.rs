@@ -85,11 +85,6 @@ impl StepReport {
             StepKind::Communication => self.comm_secs,
         }
     }
-
-    /// Sum of all rank compute seconds (total work, not critical path).
-    pub fn work_secs(&self) -> f64 {
-        self.per_rank_secs.iter().sum()
-    }
 }
 
 /// Complete timing record of a BSP run.
@@ -247,9 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn work_vs_critical() {
+    fn critical_is_the_slowest_rank() {
         let s = compute("a", &[1.0, 2.0, 3.0]);
-        assert!((s.work_secs() - 6.0).abs() < 1e-12);
         assert!((s.critical_secs() - 3.0).abs() < 1e-12);
     }
 

@@ -102,11 +102,6 @@ impl World {
         self
     }
 
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Number of ranks `p`.
     pub fn ranks(&self) -> usize {
         self.p
@@ -126,11 +121,6 @@ impl World {
     /// [`RunReport`]).
     pub fn fault_stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// The communication cost model in effect.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
     }
 
     /// The rank executor of [`World::superstep`] and

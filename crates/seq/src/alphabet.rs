@@ -94,14 +94,6 @@ pub fn revcomp_bytes(seq: &[u8]) -> Vec<u8> {
     seq.iter().rev().map(|&b| complement_base(b)).collect()
 }
 
-/// Reverse complement `seq` in place.
-pub fn revcomp_in_place(seq: &mut [u8]) {
-    seq.reverse();
-    for b in seq.iter_mut() {
-        *b = complement_base(*b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,14 +170,6 @@ mod tests {
         assert_eq!(revcomp_bytes(b"AACC"), b"GGTT".to_vec());
         assert_eq!(revcomp_bytes(b"GATTACA"), b"TGTAATC".to_vec());
         assert_eq!(revcomp_bytes(b""), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn revcomp_in_place_matches_alloc() {
-        let mut s = b"ACGTTGCANNG".to_vec();
-        let expect = revcomp_bytes(&s);
-        revcomp_in_place(&mut s);
-        assert_eq!(s, expect);
     }
 
     #[test]

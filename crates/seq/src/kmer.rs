@@ -83,12 +83,6 @@ impl Kmer {
         }
     }
 
-    /// Is this k-mer its own canonical form?
-    #[inline]
-    pub fn is_canonical(&self) -> bool {
-        self.code <= revcomp_code(self.code, self.k as usize)
-    }
-
     /// Decode back into ASCII bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let k = self.k as usize;
@@ -364,7 +358,6 @@ mod tests {
         assert_eq!(k.canonical().to_bytes(), b"AAAA".to_vec());
         let palindromic = Kmer::from_bytes(b"ACGT").unwrap(); // own revcomp
         assert_eq!(palindromic.canonical(), palindromic);
-        assert!(palindromic.is_canonical());
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! never a panic or a garbled mapping.
 
 use crate::ServeError;
+use jem_core::config::{config_from_words, config_words, CONFIG_WORDS};
 use jem_core::{MapperConfig, Mapping, QuerySegment, ReadEnd};
 use jem_index::{fnv1a64, SubjectId};
 use jem_sketch::SketchScheme;
@@ -505,22 +506,9 @@ impl Response {
             }
             Response::Info(info) => {
                 put_u64(&mut body, RESP_INFO);
-                let c = &info.config;
-                for v in [
-                    c.k as u64,
-                    c.w as u64,
-                    c.trials as u64,
-                    c.ell as u64,
-                    c.seed,
-                ] {
-                    put_u64(&mut body, v);
+                for word in config_words(&info.config, info.scheme) {
+                    put_u64(&mut body, word);
                 }
-                let (tag, param): (u64, u64) = match info.scheme {
-                    SketchScheme::Minimizer { w } => (0, w as u64),
-                    SketchScheme::ClosedSyncmer { s } => (1, s as u64),
-                };
-                put_u64(&mut body, tag);
-                put_u64(&mut body, param);
                 put_u64(&mut body, info.shards as u64);
                 put_u64(&mut body, info.batch as u64);
                 put_u64(&mut body, info.subject_names.len() as u64);
@@ -585,21 +573,13 @@ impl Response {
                 Response::Degraded { mappings, missing }
             }
             RESP_INFO => {
-                let config = MapperConfig {
-                    k: c.usize()?,
-                    w: c.usize()?,
-                    trials: c.usize()?,
-                    ell: c.usize()?,
-                    seed: c.u64()?,
-                };
-                let (tag, param) = (c.u64()?, c.usize()?);
-                let scheme = match tag {
-                    0 => SketchScheme::Minimizer { w: param },
-                    1 => SketchScheme::ClosedSyncmer { s: param },
-                    other => {
-                        return Err(ServeError::protocol(format!("unknown scheme tag {other}")))
-                    }
-                };
+                let mut words = [0u64; CONFIG_WORDS];
+                for word in &mut words {
+                    *word = c.u64()?;
+                }
+                let (config, scheme) = config_from_words(&words).map_err(|e| {
+                    ServeError::protocol(format!("Info announces an invalid configuration: {e}"))
+                })?;
                 let shards = c.usize()?;
                 let batch = c.usize()?;
                 let n = c.usize()?;
@@ -894,6 +874,28 @@ mod tests {
             mappings: Vec::new(),
             missing: vec![0],
         });
+    }
+
+    /// An `Info` announcing a configuration no index can hold is refused
+    /// as it is decoded, before a client segments anything by it.
+    #[test]
+    fn an_invalid_announced_configuration_fails_decode() {
+        let info = Response::Info(ServerInfo {
+            config: MapperConfig {
+                trials: 0,
+                ..MapperConfig::default()
+            },
+            scheme: SketchScheme::Minimizer { w: 100 },
+            subject_names: vec!["contig_0".into()],
+            shards: 1,
+            batch: 16,
+        });
+        match Response::decode(&info.encode()) {
+            Err(ServeError::Protocol(msg)) => {
+                assert!(msg.contains("invalid configuration"), "got: {msg}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   router) — the accept thread and one
 //!   keep-alive handler thread per connection, answering `Ping` and
 //!   `Shutdown` and handing every other request here with its reply
-//!   handle. This tier answers `Info` inline and admits `Map`/`MapPartial`
-//!   jobs through three composed gates: a per-connection in-flight cap
+//!   handle. This tier answers `Info` inline and admits `Map` (on a server
+//!   that owns every slot) and `MapPartial` jobs through three composed
+//!   gates: a per-connection in-flight cap
 //!   (`max_inflight`), per-client token-bucket quotas
 //!   ([`AdmissionControl`], rejecting with [`Response::Throttled`] — a
 //!   request the queue then refuses is refunded, so rejected work is never
@@ -264,8 +265,10 @@ impl ServerHandle {
 
 /// Bind `addr` and start serving `mapper`'s index through the slots
 /// `filter` owns ([`CodeFilter::slots`]; a standalone server owns them
-/// all). Returns once the listener is live; mapping happens on background
-/// threads until shutdown.
+/// all). A server that owns only some slots is a shard: it answers
+/// `MapPartial` and refuses `Map` with a typed `Error`. Returns once the
+/// listener is live; mapping happens on background threads until
+/// shutdown.
 pub fn start(
     mapper: JemMapper,
     filter: CodeFilter,
@@ -350,7 +353,8 @@ pub(crate) fn throttled(retry_after: Duration) -> Response {
 }
 
 /// Answer one request the ingress hands over: `Info` inline, `Reload` on
-/// a loader thread, mapping requests through admission into the queue.
+/// a loader thread, mapping requests through admission into the queue
+/// (`Map` only when the server owns every slot).
 fn handle(
     shared: &Arc<Shared>,
     envelope: Envelope,
@@ -365,6 +369,18 @@ fn handle(
             // Load off the handler path: a multi-second index load must
             // not stall admission of this connection's requests.
             spawn_reload(Arc::clone(shared), reply, path);
+        }
+        // A shard's slice of the table would rank contigs on its own
+        // collisions alone: only the router can merge a whole answer.
+        Request::Map { .. } if !shared.filter.admits_all() => {
+            let owned = shared.filter.owned();
+            reply.send(&Response::Error(format!(
+                "this shard owns slots {}-{} of {} and answers only MapPartial; \
+                 send Map through jem route",
+                owned.start,
+                owned.end,
+                shared.filter.n_slots()
+            )))
         }
         Request::Map { segments } => {
             admit(shared, reply, &envelope, segments, JobKind::Map, received)

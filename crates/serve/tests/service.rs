@@ -425,6 +425,34 @@ fn a_client_keeps_its_connection_across_requests() {
     assert_eq!(snapshot.counter("serve.requests"), 2);
 }
 
+/// A shard owning part of the slot space answers `Map` with a typed
+/// error naming its slots, never with a ranking of its own slice; the
+/// router's `MapPartial` it still answers.
+#[test]
+fn a_shard_refuses_map_but_answers_map_partial() {
+    let (mapper, segments) = world();
+    let seg = segments[..2].to_vec();
+    let shard = jem_serve::start(
+        mapper,
+        CodeFilter::slots(2, 0..1),
+        "127.0.0.1:0",
+        &ServerConfig::default(),
+    )
+    .unwrap();
+    let client = Client::new(shard.addr().to_string());
+    match client.map_segments(&seg) {
+        Err(ServeError::Remote(msg)) => {
+            assert!(
+                msg.contains("slots 0-1 of 2") && msg.contains("jem route"),
+                "got: {msg}"
+            )
+        }
+        other => panic!("expected a typed Error, got {other:?}"),
+    }
+    assert_eq!(client.map_segments_partial(&seg).unwrap().len(), 2);
+    shard.shutdown();
+}
+
 #[test]
 fn zero_valued_config_is_rejected_not_deadlocked() {
     let (mapper, _) = world();
