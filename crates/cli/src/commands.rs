@@ -6,8 +6,8 @@ use crate::io::{read_sequences, write_fasta, write_file_atomic, AtomicFile, SeqS
 use jem_anchor::{write_paf, AnchorPipeline, PafRow, RefineScratch, RefineStats, Refiner};
 use jem_core::{
     default_workers, load_index_path, make_segments, map_batches_parallel, read_index_config,
-    run_distributed_resilient, save_index, write_mappings_tsv_named, CodeFilter, JemMapper,
-    MapperConfig, Mapping, QuerySegment, ReadEnd, ResilienceOptions,
+    run_distributed_resilient, save_index, upgrade_index, write_mappings_tsv_named, CodeFilter,
+    JemMapper, MapperConfig, Mapping, QuerySegment, ReadEnd, ResilienceOptions,
 };
 use jem_eval::{parse_paf, Benchmark, MappingMetrics, PafAccuracy};
 use jem_psim::{CostModel, ExecMode, FaultPlan};
@@ -123,9 +123,10 @@ fn mapper_config(args: &Args) -> Result<(MapperConfig, SketchScheme), CliError> 
 /// `jem index (--subjects contigs.fa | --upgrade old.jem) --out index.jem
 ///  [--k --w --trials --ell --seed] [--metrics FILE]`
 ///
-/// `--upgrade` rewrites an existing artifact (v3, v4 or v5) as v5 — the
-/// migration path from legacy JEMIDX3/JEMIDX4 files to the mmap-ready,
-/// code-keyed v5 layout. Mapping output is byte-identical either way.
+/// `--upgrade` rewrites an existing artifact (v3, v4, v5 or v6) as v6 —
+/// the one way a legacy JEMIDX3/4/5 file is still read, since every other
+/// loader refuses them (`jem_core::upgrade_index`). Mapping output is
+/// byte-identical either way.
 pub fn cmd_index(args: &Args) -> Result<(), CliError> {
     known_flags(
         args,
@@ -140,9 +141,11 @@ pub fn cmd_index(args: &Args) -> Result<(), CliError> {
             ))
         }
         (Some(old), None) => {
-            let mapper = load_index_path(Path::new(old)).map_err(CliError::format(old))?;
+            let file = std::fs::File::open(old).map_err(CliError::io(old))?;
+            let mapper =
+                upgrade_index(&mut std::io::BufReader::new(file)).map_err(CliError::format(old))?;
             eprintln!(
-                "upgrading {old}: {} subjects, {} sketch entries → v5",
+                "upgrading {old}: {} subjects, {} sketch entries → v6",
                 mapper.n_subjects(),
                 mapper.table().entry_count()
             );
@@ -168,7 +171,7 @@ pub fn cmd_index(args: &Args) -> Result<(), CliError> {
     save_index(&mut out, &mapper).map_err(CliError::format(out_path))?;
     out.commit().map_err(CliError::io(out_path))?;
     eprintln!(
-        "wrote {out_path} (v5): {} sketch entries over {} trials",
+        "wrote {out_path} (v6): {} sketch entries over {} trials",
         mapper.table().entry_count(),
         mapper.config().trials
     );
@@ -178,8 +181,8 @@ pub fn cmd_index(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Load a mapper from `--index` (memory-mapped when the artifact is
-/// JEMIDX v5, fully verified) or build one from `--subjects`, whose
+/// Load a mapper from `--index` (a JEMIDX v6 artifact, memory-mapped
+/// and fully verified) or build one from `--subjects`, whose
 /// records are handed back for reuse.
 fn load_or_build_mapper(args: &Args) -> Result<(JemMapper, Option<Vec<SeqRecord>>), CliError> {
     match (args.get("index"), args.get("subjects")) {

@@ -29,7 +29,7 @@ USAGE: jem <command> [--flag value ...]
 COMMANDS:
   index       build a JEM sketch index over a contig set
                 (--subjects FILE | --upgrade OLD.jem  rewrite an existing
-                v3/v4/v5 artifact as v5) --out FILE
+                v3/v4/v5 artifact as v6) --out FILE
                 [--k 16] [--w 100] [--trials 30] [--ell 1000] [--seed N]
                 [--metrics FILE] [--syncmer S  use closed syncmers
                 instead of minimizers]

@@ -178,7 +178,7 @@ fn help_prints_usage() {
     }
 }
 
-/// A small simulated data set with a v5 index: `(dir, path helper)`.
+/// A small simulated data set with a v6 index: `(dir, path helper)`.
 fn indexed_world(tag: &str) -> PathBuf {
     let dir = workdir(tag);
     let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
@@ -284,6 +284,60 @@ fn map_verifies_the_index_before_creating_any_output() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A retired-format index is refused with one `error:` line that names
+/// the upgrade: `jem map` before it opens `--queries` or creates any
+/// output, and `jem serve` before it binds.
+#[test]
+fn legacy_index_files_are_refused_naming_the_upgrade() {
+    let fx = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format-compat");
+    let v5 = fx.join("index_v5.jem").to_string_lossy().into_owned();
+    let dir = workdir("legacy");
+    let out_tsv = dir.join("out.tsv").to_string_lossy().into_owned();
+    let refused = |out: std::process::Output| {
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{stderr}");
+        assert!(errors[0].contains("--upgrade"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        stderr
+    };
+    let queries = [
+        fx.join("reads.fq").to_string_lossy().into_owned(),
+        dir.join("absent.fq").to_string_lossy().into_owned(),
+    ];
+    for queries in &queries {
+        let stderr = refused(
+            jem()
+                .args([
+                    "map",
+                    "--index",
+                    &v5,
+                    "--queries",
+                    queries,
+                    "--out",
+                    &out_tsv,
+                ])
+                .output()
+                .unwrap(),
+        );
+        assert!(
+            !stderr.contains("absent.fq"),
+            "queries opened first: {stderr}"
+        );
+        for file in ["out.tsv", "out.tsv.tmp"] {
+            assert!(!dir.join(file).exists(), "{file} created");
+        }
+    }
+    refused(
+        jem()
+            .args(["serve", "--index", &v5, "--addr", "127.0.0.1:0"])
+            .output()
+            .unwrap(),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A mistyped flag is a usage error naming it, raised before any work:
 /// `--thread 2` must not map on one worker as if `--threads` were absent.
 #[test]
@@ -334,7 +388,7 @@ fn unknown_flags_are_usage_errors_before_any_output() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `jem index` writes v5 only: the retired `--format` switch is an
+/// `jem index` writes v6 only: the retired `--format` switch is an
 /// unknown flag, whatever format it names, and nothing is written.
 #[test]
 fn index_format_flag_is_gone() {

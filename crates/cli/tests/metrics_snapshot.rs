@@ -190,6 +190,10 @@ fn index_metrics_snapshot_covers_build() {
     assert!(snap.counter("index.keys") > 0);
     assert!(snap.span_ns("index/build") > 0);
     assert!(snap.histograms["index.bucket_occupancy"].count > 0);
+    // The save — the step perfbench's traced `persist.save_s` times — is
+    // one span of its own.
+    assert_eq!(snap.spans["persist/save"].count, 1);
+    assert!(snap.span_ns("persist/save") > 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -52,7 +52,7 @@ pub use parallel::{
     default_workers, map_batches_parallel, map_segments_parallel, queue_bound, run_batches,
     slice_batches,
 };
-pub use persist::{load_index, load_index_path, read_index_config, save_index};
+pub use persist::{load_index, load_index_path, read_index_config, save_index, upgrade_index};
 pub use report::{mapping_pairs, write_mappings_tsv, write_mappings_tsv_named};
 pub use resilient::{
     run_distributed_resilient, DistributedOutcome, ResilienceError, ResilienceOptions,

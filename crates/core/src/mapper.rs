@@ -242,7 +242,7 @@ impl JemMapper {
     /// and only the record ids are copied (into the name table). Each
     /// subject is sketched in code-keyed form through the entry point
     /// queries use ([`sketch_masked_into`]), and the table is written
-    /// straight into the flat v5 layout, so saving it streams these words
+    /// straight into the flat v6 layout, so saving it streams these words
     /// as they are.
     pub fn build_with_scheme(
         subjects: &[SeqRecord],
@@ -273,7 +273,7 @@ impl JemMapper {
 
     /// [`JemMapper::from_table`] with an explicit sketch scheme (must match
     /// the scheme the table was built with) — also the entry point of the
-    /// v5 load path, which wraps a zero-copy view of the file.
+    /// v6 load path, which wraps a zero-copy view of the file.
     pub fn from_table_with_scheme(
         table: FlatTable,
         subject_names: Vec<String>,

@@ -1,7 +1,7 @@
 //! Index persistence: save/load a built [`JemMapper`] so the subject
 //! sketching cost is paid once per contig set.
 //!
-//! # JEMIDX v5 — the current format
+//! # JEMIDX v6 — the one format the loaders read
 //!
 //! The whole file is a sequence of little-endian `u64` words; the table
 //! section *is* the in-memory [`jem_index::FlatTable`] layout (one
@@ -10,10 +10,10 @@
 //! and over `mmap` no copy at all.
 //!
 //! ```text
-//! word  0      magic  b"JEMIDX5\0"
+//! word  0      magic  b"JEMIDX6\0"
 //! word  1      file_words — total length of the file in words
-//! word  2      fnv1a64 over the little-endian bytes of words[3..]
-//! word  3      config_hash: fnv1a64 over the bytes of words[4..11]
+//! word  2      checksum_words(words[3..])
+//! word  3      config_hash: checksum_words(words[4..11])
 //! words 4..9   config: k, w, trials, ell, seed
 //! words 9..11  scheme tag (0 = minimizer, 1 = closed syncmer), param
 //! word  11     n_subjects
@@ -24,8 +24,9 @@
 //! table        the flat-table blob (see `jem_index::flat`)
 //! ```
 //!
-//! Sections are contiguous and in order (`names_off == 16`,
-//! `names_off + names_words == table_off`,
+//! Both checksums are [`jem_index::checksum`], the multi-lane word
+//! checksum every artifact carries. Sections are contiguous and in order
+//! (`names_off == 16`, `names_off + names_words == table_off`,
 //! `table_off + table_words == file_words`) and 8-byte aligned by
 //! construction. The table section is the mapper's own table words,
 //! streamed as they are: every table is written canonically by
@@ -49,23 +50,25 @@
 //!
 //! # Legacy formats
 //!
-//! Both still load — [`load_index`] and [`load_index_path`] convert them
-//! in memory — and `jem index --upgrade` rewrites them as v5:
+//! [`load_index`], [`load_index_path`] and [`read_index_config`] refuse a
+//! v3, v4 or v5 file at its magic with an error naming `jem index
+//! --upgrade`. Only [`upgrade_index`] reads them, through the private
+//! `legacy` module — the one place the byte-wise FNV-1a they were sealed
+//! with remains — and `jem index --upgrade` writes the result as v6:
 //!
+//! * **JEMIDX v5** is word for word v6, with words 2 and 3 under FNV-1a.
 //! * **JEMIDX v4** has v5's header and names, but its table is `T`
 //!   per-trial banks (a bucket array and a subject arena each).
 //! * **JEMIDX v3** serialized the table as a per-trial `[n_keys, (code,
-//!   n_subjects, subjects…)*]` stream under a byte-wise frame checksum
-//!   ([`jem_index::fnv1a64`]).
+//!   n_subjects, subjects…)*]` stream under an FNV-1a frame checksum.
 //!
-//! A private read-only reader per format turns the per-trial table back
-//! into `(trial, code, subject)` entries, which
-//! [`jem_index::MaskedRun::from_entries`] folds into the one code-keyed
-//! run the v5 writer takes.
+//! The v4 and v3 readers turn the per-trial table back into `(trial, code,
+//! subject)` entries, which [`jem_index::MaskedRun::from_entries`] folds
+//! into the one code-keyed run the writer takes.
 
 use crate::config::{config_from_words, config_words, MapperConfig, CONFIG_WORDS};
 use crate::mapper::JemMapper;
-use jem_index::{checksum_chain, checksum_words, fnv1a64, FlatTable, MaskedRun, WordSource};
+use jem_index::{checksum_chain, checksum_words, FlatTable, MaskedRun, WordSource};
 use jem_mmap::MmapWords;
 use jem_seq::SeqError;
 use jem_sketch::SketchScheme;
@@ -74,10 +77,8 @@ use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-const V3_MAGIC: &[u8; 8] = b"JEMIDX3\0";
-const V4_MAGIC: &[u8; 8] = b"JEMIDX4\0";
-const V5_MAGIC: &[u8; 8] = b"JEMIDX5\0";
-/// Fixed v4/v5 header length in words.
+const MAGIC: &[u8; 8] = b"JEMIDX6\0";
+/// Fixed v4–v6 header length in words.
 const HEADER_WORDS: usize = 16;
 
 fn format_err(msg: impl Into<String>) -> SeqError {
@@ -89,20 +90,36 @@ fn config_err(e: SeqError) -> SeqError {
     format_err(format!("index holds an invalid configuration: {e}"))
 }
 
-/// Serialize a built mapper index in the current (v5) format.
+/// Accept only the v6 magic: a legacy one is refused with the command
+/// that rewrites it, anything else as not an index.
+fn check_magic(magic: &[u8; 8]) -> Result<(), SeqError> {
+    if magic == MAGIC {
+        return Ok(());
+    }
+    Err(match legacy::version(magic) {
+        Some(v) => format_err(format!(
+            "index is JEMIDX{v}, a retired format no loader reads: rewrite it as JEMIDX6 \
+             with `jem index --upgrade OLD.jem --out NEW.jem`"
+        )),
+        None => format_err("not a JEM index file (bad magic)"),
+    })
+}
+
+/// Serialize a built mapper index in the current (v6) format.
 ///
 /// Streams the header, the names and the table's own words — no second
 /// image of the index is built — with the checksum computed over the same
 /// words first. The output is canonical: for a given logical index the
 /// bytes are identical however the mapper was obtained — `save → load →
-/// save` round-trips exactly.
+/// save` round-trips exactly. Recorded under a `persist/save` span.
 pub fn save_index<W: Write>(out: &mut W, mapper: &JemMapper) -> Result<(), SeqError> {
+    let _span = jem_obs::span("persist/save");
     let names = names_words(mapper);
     let table = mapper.table().blob();
     let names_off = HEADER_WORDS;
     let table_off = names_off + names.len();
     let mut header = [0u64; HEADER_WORDS];
-    header[0] = u64::from_le_bytes(*V5_MAGIC);
+    header[0] = u64::from_le_bytes(*MAGIC);
     header[1] = (table_off + table.len()) as u64;
     header[4..11].copy_from_slice(&config_words(mapper.config(), mapper.scheme()));
     header[11] = mapper.n_subjects() as u64;
@@ -146,32 +163,42 @@ fn read_u64<R: Read>(input: &mut R) -> Result<u64, SeqError> {
     Ok(u64::from_le_bytes(buf))
 }
 
-/// Deserialize an index written by [`save_index`] (v5), or a legacy v4 or
-/// v3 file, sniffing the version from the magic.
+/// Deserialize an index written by [`save_index`] (v6).
 ///
 /// Returns `Err` — never panics — on any malformed input: bad magic, a
-/// truncated or extended frame, a checksum mismatch (any flipped byte), or
-/// a body that fails structural validation.
+/// legacy format (named with the upgrade that rewrites it), a truncated
+/// or extended frame, a checksum mismatch, or a body that fails
+/// structural validation.
 pub fn load_index<R: Read>(input: &mut R) -> Result<JemMapper, SeqError> {
     let mut magic = [0u8; 8];
     input.read_exact(&mut magic)?;
-    if &magic == V3_MAGIC {
-        let body_len = read_u64(input)?;
-        let declared = read_u64(input)?;
-        load_v3_body(input, body_len, declared)
-    } else if &magic == V4_MAGIC || &magic == V5_MAGIC {
-        load_word_stream(input, u64::from_le_bytes(magic))
-    } else {
-        Err(format_err("not a JEM index file (bad magic)"))
+    check_magic(&magic)?;
+    parse_words(Arc::new(read_word_stream(input, &magic)?))
+}
+
+/// Read any index file `jem index --upgrade` takes: a v6 file as
+/// [`load_index`] reads it, or a legacy v3, v4 or v5 file, verified as
+/// fully under its own FNV-1a checksums and structure rules. Save the
+/// result with [`save_index`] to rewrite it as v6; a legacy file of a
+/// contig set upgrades to exactly the bytes a fresh build writes.
+pub fn upgrade_index<R: Read>(input: &mut R) -> Result<JemMapper, SeqError> {
+    let mut magic = [0u8; 8];
+    input.read_exact(&mut magic)?;
+    match legacy::version(&magic) {
+        Some(version) => legacy::load(input, version, &magic),
+        None => {
+            check_magic(&magic)?;
+            parse_words(Arc::new(read_word_stream(input, &magic)?))
+        }
     }
 }
 
-/// Read a v4 or v5 file from a stream (its magic word already consumed):
+/// Read a v4–v6 word image from a stream, its `magic` already consumed:
 /// the portable owned-buffer path. The header is read and sanity-checked
 /// before the body so a bogus stream fails before bulk allocation.
-fn load_word_stream<R: Read>(input: &mut R, magic: u64) -> Result<JemMapper, SeqError> {
+fn read_word_stream<R: Read>(input: &mut R, magic: &[u8; 8]) -> Result<Vec<u64>, SeqError> {
     let mut header = [0u64; HEADER_WORDS];
-    header[0] = magic;
+    header[0] = u64::from_le_bytes(*magic);
     for w in header.iter_mut().skip(1) {
         *w = read_u64(input)?;
     }
@@ -187,15 +214,12 @@ fn load_word_stream<R: Read>(input: &mut R, magic: u64) -> Result<JemMapper, Seq
     read_words_into(input, file_words, &mut words)?;
     // `read_exact` retries interrupted reads; running out is the good case.
     match input.read_exact(&mut [0u8; 1]) {
-        Ok(()) => {
-            return Err(format_err(
-                "index frame has trailing bytes after the declared length",
-            ))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
-        Err(e) => return Err(e.into()),
+        Ok(()) => Err(format_err(
+            "index frame has trailing bytes after the declared length",
+        )),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(words),
+        Err(e) => Err(e.into()),
     }
-    parse_words(Arc::new(words))
 }
 
 /// Read little-endian words from `input` until `words` holds `total` of
@@ -236,71 +260,43 @@ impl WordSource for MappedWords {
     }
 }
 
-/// Load an index file by path, fully verified.
+/// Load a v6 index file by path, fully verified.
 ///
-/// For v5 files this is the zero-copy path: the file is memory-mapped
-/// (falling back to an owned read where `mmap` is unavailable) and the
-/// posting arena is served straight from the mapping. Legacy v4 and v3
-/// files are converted in memory, v3 after failing fast if the declared
-/// body length disagrees with the file's actual size.
+/// The zero-copy path: the file is memory-mapped (falling back to an
+/// owned read where `mmap` is unavailable) and the posting arena is
+/// served straight from the mapping. A legacy file is refused at its
+/// magic with an error naming `jem index --upgrade`.
 ///
 /// Emits load-path metrics to the global [`jem_obs`] recorder:
-/// `persist.load_v3` / `persist.load_v4` / `persist.load_v5` (which
-/// format), `persist.load_mmap` / `persist.load_owned` (which backing a
-/// v4 or v5 file was read through), and `persist.arena_copy_bytes` — the
-/// bytes *copied* to make the index resident: `0` on the v5 mmap path, the
-/// file size for a converted legacy file — under a `persist/load` span.
+/// `persist.load_mmap` / `persist.load_owned` (which backing the file was
+/// read through) and `persist.arena_copy_bytes` — the bytes *copied* to
+/// make the index resident: `0` on the mmap path, the file size on the
+/// owned one — under a `persist/load` span.
 pub fn load_index_path(path: impl AsRef<Path>) -> Result<JemMapper, SeqError> {
     let rec = jem_obs::recorder();
     let _span = jem_obs::Span::enter(rec, "persist/load");
-    match open_index(path.as_ref())? {
-        OpenedIndex::V3 {
-            mut input,
-            body_len,
-            declared,
-        } => {
-            rec.add("persist.load_v3", 1);
-            rec.add("persist.arena_copy_bytes", body_len);
-            load_v3_body(&mut input, body_len, declared)
+    let OpenedIndex {
+        mut file, file_len, ..
+    } = open_index(path.as_ref())?;
+    let source: Arc<dyn WordSource> = match MmapWords::map(&file) {
+        Ok(map) => {
+            rec.add("persist.load_mmap", 1);
+            rec.add("persist.arena_copy_bytes", 0);
+            Arc::new(MappedWords(map))
         }
-        OpenedIndex::Words {
-            mut file,
-            file_len,
-            header,
-        } => {
-            let legacy = header[0] == u64::from_le_bytes(*V4_MAGIC);
-            rec.add(
-                if legacy {
-                    "persist.load_v4"
-                } else {
-                    "persist.load_v5"
-                },
-                1,
-            );
-            let source: Arc<dyn WordSource> = match MmapWords::map(&file) {
-                Ok(map) => {
-                    rec.add("persist.load_mmap", 1);
-                    rec.add(
-                        "persist.arena_copy_bytes",
-                        if legacy { file_len } else { 0 },
-                    );
-                    Arc::new(MappedWords(map))
-                }
-                Err(_) => {
-                    // Portable fallback: one owned read of the declared length
-                    // (already checked against the file size by `open_index`).
-                    file.seek(SeekFrom::Start(0))?;
-                    let total = (file_len / 8) as usize;
-                    let mut words = Vec::with_capacity(total);
-                    read_words_into(&mut BufReader::new(file), total, &mut words)?;
-                    rec.add("persist.load_owned", 1);
-                    rec.add("persist.arena_copy_bytes", file_len);
-                    Arc::new(words)
-                }
-            };
-            parse_words(source)
+        Err(_) => {
+            // Portable fallback: one owned read of the declared length
+            // (already checked against the file size by `open_index`).
+            file.seek(SeekFrom::Start(0))?;
+            let total = (file_len / 8) as usize;
+            let mut words = Vec::with_capacity(total);
+            read_words_into(&mut BufReader::new(file), total, &mut words)?;
+            rec.add("persist.load_owned", 1);
+            rec.add("persist.arena_copy_bytes", file_len);
+            Arc::new(words)
         }
-    }
+    };
+    parse_words(source)
 }
 
 /// The configuration an index file was built with, read from its header
@@ -310,28 +306,14 @@ pub fn load_index_path(path: impl AsRef<Path>) -> Result<JemMapper, SeqError> {
 /// size, the config hash, a valid configuration and scheme); the checksum
 /// and table structure are left to [`load_index_path`].
 pub fn read_index_config(path: impl AsRef<Path>) -> Result<MapperConfig, SeqError> {
-    match open_index(path.as_ref())? {
-        OpenedIndex::V3 { mut input, .. } => Ok(read_v3_config(&mut input)?.0),
-        OpenedIndex::Words { header, .. } => Ok(header_config(&header)?.0),
-    }
+    Ok(header_config(&open_index(path.as_ref())?.header, checksum_words)?.0)
 }
 
-/// An index file opened by path, its header checked against the file's
-/// size before anything bulky is read or mapped.
-enum OpenedIndex {
-    /// A v3 frame, positioned at the start of its body.
-    V3 {
-        input: BufReader<File>,
-        body_len: u64,
-        declared: u64,
-    },
-    /// A v4 or v5 file (told apart by `header[0]`) whose declared word
-    /// count matches its size.
-    Words {
-        file: File,
-        file_len: u64,
-        header: [u64; HEADER_WORDS],
-    },
+/// A v6 file opened by path whose declared word count matches its size.
+struct OpenedIndex {
+    file: File,
+    file_len: u64,
+    header: [u64; HEADER_WORDS],
 }
 
 /// Open `path` and check its magic and declared length — the fail-fast
@@ -340,127 +322,139 @@ enum OpenedIndex {
 fn open_index(path: &Path) -> Result<OpenedIndex, SeqError> {
     let mut file = File::open(path)?;
     let file_len = file.metadata()?.len();
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if &magic == V3_MAGIC {
-        let mut input = BufReader::new(file);
-        let body_len = read_u64(&mut input)?;
-        let declared = read_u64(&mut input)?;
-        // The header's declared body length must match the file size
-        // exactly, before the body is read or the table rebuilt.
-        if body_len != file_len.saturating_sub(24) {
-            return Err(format_err(format!(
-                "index header declares {body_len} body bytes but the file holds {}",
-                file_len.saturating_sub(24)
-            )));
-        }
-        Ok(OpenedIndex::V3 {
-            input,
-            body_len,
-            declared,
-        })
-    } else if &magic == V4_MAGIC || &magic == V5_MAGIC {
-        if file_len % 8 != 0 {
-            return Err(format_err(format!(
-                "index length {file_len} is not a multiple of 8 bytes"
-            )));
-        }
-        let mut bytes = [0u8; 8 * HEADER_WORDS];
-        file.read_exact(&mut bytes[8..])?;
-        let mut header = [u64::from_le_bytes(magic); HEADER_WORDS];
-        for (w, b) in header.iter_mut().zip(bytes.chunks_exact(8)).skip(1) {
-            *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-        }
-        let file_words = header[1];
-        if file_words.checked_mul(8) != Some(file_len) {
-            return Err(format_err(format!(
-                "index header declares {file_words} words but the file holds {} bytes",
-                file_len
-            )));
-        }
-        Ok(OpenedIndex::Words {
-            file,
-            file_len,
-            header,
-        })
-    } else {
-        Err(format_err("not a JEM index file (bad magic)"))
+    let mut bytes = [0u8; 8 * HEADER_WORDS];
+    file.read_exact(&mut bytes[..8])?;
+    check_magic(bytes[..8].try_into().expect("8 bytes"))?;
+    if file_len % 8 != 0 {
+        return Err(format_err(format!(
+            "index length {file_len} is not a multiple of 8 bytes"
+        )));
     }
+    file.read_exact(&mut bytes[8..])?;
+    let mut header = [0u64; HEADER_WORDS];
+    for (w, b) in header.iter_mut().zip(bytes.chunks_exact(8)) {
+        *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+    }
+    let file_words = header[1];
+    if file_words.checked_mul(8) != Some(file_len) {
+        return Err(format_err(format!(
+            "index header declares {file_words} words but the file holds {file_len} bytes"
+        )));
+    }
+    Ok(OpenedIndex {
+        file,
+        file_len,
+        header,
+    })
 }
 
-/// Validate a complete v5 word image and wrap it into a mapper; a v4
-/// image is validated the same way and its banks converted.
+/// Validate a complete v6 word image and wrap it into a mapper.
 fn parse_words(source: Arc<dyn WordSource>) -> Result<JemMapper, SeqError> {
-    let words = source.words();
-    if words.len() < HEADER_WORDS {
-        return Err(format_err(format!(
-            "index needs at least {HEADER_WORDS} words, have {}",
-            words.len()
-        )));
-    }
-    let legacy = words[0] == u64::from_le_bytes(*V4_MAGIC);
-    if !legacy && words[0] != u64::from_le_bytes(*V5_MAGIC) {
-        return Err(format_err("not a JEM v4/v5 index (bad magic)"));
-    }
-    if words[1] != words.len() as u64 {
-        return Err(format_err(format!(
-            "index header declares {} words but {} are present",
-            words[1],
-            words.len()
-        )));
-    }
-    let computed = checksum_words(&words[3..]);
-    if computed != words[2] {
-        return Err(format_err(format!(
-            "index checksum mismatch: header declares {:#018x}, file hashes to {computed:#018x}",
-            words[2]
-        )));
-    }
-    let (config, scheme) = header_config(words)?;
+    let layout = Layout::check(source.words(), MAGIC, checksum_words)?;
+    let flat = layout.flat_table(source)?;
+    layout.into_mapper(flat)
+}
 
-    let n_subjects = as_usize(words[11], "subject count")?;
-    let names_off = as_usize(words[12], "names offset")?;
-    let names_words = as_usize(words[13], "names length")?;
-    let table_off = as_usize(words[14], "table offset")?;
-    let table_words = as_usize(words[15], "table length")?;
-    // The canonical layout is fixed: names directly after the header,
-    // table directly after the names, nothing after the table.
-    if names_off != HEADER_WORDS
-        || names_off.checked_add(names_words) != Some(table_off)
-        || table_off.checked_add(table_words) != Some(words.len())
-    {
-        return Err(format_err(
-            "index section offsets do not tile the file (names, then table)",
-        ));
-    }
-    let names = parse_names(&words[names_off..table_off], n_subjects)?;
+/// What a v4–v6 word image declares once its magic, length, whole-file
+/// checksum, config hash, section tiling and names hold: everything but
+/// the table.
+struct Layout {
+    config: MapperConfig,
+    scheme: SketchScheme,
+    names: Vec<String>,
+    table_off: usize,
+    table_words: usize,
+}
 
-    let corrupt = |e: &dyn std::fmt::Display| format_err(format!("index table is corrupt: {e}"));
-    let flat = if legacy {
-        let entries =
-            legacy::v4_entries(&words[table_off..], config.trials).map_err(|e| corrupt(&e))?;
-        legacy::table(config.trials, entries)
-    } else {
-        let flat = FlatTable::from_source(Arc::clone(&source), table_off, config.trials)
+impl Layout {
+    /// Check the image `words` against `magic`, with `hash` the function
+    /// its format seals words 2 and 3 with.
+    fn check(words: &[u64], magic: &[u8; 8], hash: fn(&[u64]) -> u64) -> Result<Layout, SeqError> {
+        if words.len() < HEADER_WORDS {
+            return Err(format_err(format!(
+                "index needs at least {HEADER_WORDS} words, have {}",
+                words.len()
+            )));
+        }
+        if words[0] != u64::from_le_bytes(*magic) {
+            return Err(format_err("index magic does not match its format"));
+        }
+        if words[1] != words.len() as u64 {
+            return Err(format_err(format!(
+                "index header declares {} words but {} are present",
+                words[1],
+                words.len()
+            )));
+        }
+        let computed = hash(&words[3..]);
+        if computed != words[2] {
+            return Err(format_err(format!(
+                "index checksum mismatch: header declares {:#018x}, file hashes to {computed:#018x}",
+                words[2]
+            )));
+        }
+        let (config, scheme) = header_config(words, hash)?;
+
+        let n_subjects = as_usize(words[11], "subject count")?;
+        let names_off = as_usize(words[12], "names offset")?;
+        let names_words = as_usize(words[13], "names length")?;
+        let table_off = as_usize(words[14], "table offset")?;
+        let table_words = as_usize(words[15], "table length")?;
+        // The canonical layout is fixed: names directly after the header,
+        // table directly after the names, nothing after the table.
+        if names_off != HEADER_WORDS
+            || names_off.checked_add(names_words) != Some(table_off)
+            || table_off.checked_add(table_words) != Some(words.len())
+        {
+            return Err(format_err(
+                "index section offsets do not tile the file (names, then table)",
+            ));
+        }
+        Ok(Layout {
+            config,
+            scheme,
+            names: parse_names(&words[names_off..table_off], n_subjects)?,
+            table_off,
+            table_words,
+        })
+    }
+
+    /// The flat table in `source`'s table section (a v5 or v6 image),
+    /// structurally validated and filling the section exactly.
+    fn flat_table(&self, source: Arc<dyn WordSource>) -> Result<FlatTable, SeqError> {
+        let flat = FlatTable::from_source(source, self.table_off, self.config.trials)
             .map_err(|e| corrupt(&e))?;
-        if flat.blob().len() != table_words {
+        if flat.blob().len() != self.table_words {
             return Err(format_err(
                 "index table section holds words past the table's end",
             ));
         }
-        flat
-    };
-    if let Some(max) = flat.max_subject() {
-        if max as usize >= n_subjects {
-            return Err(format_err(format!(
-                "index table references subject {max} but only {n_subjects} subjects are named"
-            )));
-        }
+        Ok(flat)
     }
-    flat.verify_postings().map_err(|e| corrupt(&e))?;
-    Ok(JemMapper::from_table_with_scheme(
-        flat, names, &config, scheme,
-    ))
+
+    /// The mapper over `flat`, once every subject it names is in range and
+    /// every posting is canonical.
+    fn into_mapper(self, flat: FlatTable) -> Result<JemMapper, SeqError> {
+        let n_subjects = self.names.len();
+        if let Some(max) = flat.max_subject() {
+            if max as usize >= n_subjects {
+                return Err(format_err(format!(
+                    "index table references subject {max} but only {n_subjects} subjects are named"
+                )));
+            }
+        }
+        flat.verify_postings().map_err(|e| corrupt(&e))?;
+        Ok(JemMapper::from_table_with_scheme(
+            flat,
+            self.names,
+            &self.config,
+            self.scheme,
+        ))
+    }
+}
+
+fn corrupt(e: &dyn std::fmt::Display) -> SeqError {
+    format_err(format!("index table is corrupt: {e}"))
 }
 
 /// A header word as a `usize` (`what` names it in the error).
@@ -468,11 +462,14 @@ fn as_usize(w: u64, what: &str) -> Result<usize, SeqError> {
     usize::try_from(w).map_err(|_| format_err(format!("index {what} {w} overflows usize")))
 }
 
-/// The configuration and scheme a v4/v5 header (at least
-/// [`HEADER_WORDS`] words) declares, checked against its config hash and
-/// validated.
-fn header_config(header: &[u64]) -> Result<(MapperConfig, SketchScheme), SeqError> {
-    let config_hash = checksum_words(&header[4..11]);
+/// The configuration and scheme a v4–v6 header (at least
+/// [`HEADER_WORDS`] words) declares, checked against its config hash
+/// (under `hash`) and validated.
+fn header_config(
+    header: &[u64],
+    hash: fn(&[u64]) -> u64,
+) -> Result<(MapperConfig, SketchScheme), SeqError> {
+    let config_hash = hash(&header[4..11]);
     if config_hash != header[3] {
         return Err(format_err(format!(
             "index config-hash mismatch: header declares {:#018x}, config hashes to {config_hash:#018x}",
@@ -524,80 +521,145 @@ fn parse_names(words: &[u64], n_subjects: usize) -> Result<Vec<String>, SeqError
     Ok(names)
 }
 
-/// Read and validate the configuration and scheme that open a v3 body.
-fn read_v3_config<R: Read>(input: &mut R) -> Result<(MapperConfig, SketchScheme), SeqError> {
-    let mut words = [0u64; CONFIG_WORDS];
-    for word in &mut words {
-        *word = read_u64(input)?;
-    }
-    config_from_words(&words).map_err(config_err)
-}
-
-/// Read and validate a v3 body (stream positioned after the 24-byte
-/// header, whose `body_len`/`declared` fields are passed in).
-fn load_v3_body<R: Read>(
-    input: &mut R,
-    body_len: u64,
-    declared: u64,
-) -> Result<JemMapper, SeqError> {
-    let mut body = Vec::new();
-    // `take` bounds the read without trusting `body_len` for an allocation.
-    input.take(body_len).read_to_end(&mut body)?;
-    if body.len() as u64 != body_len {
-        return Err(format_err(format!(
-            "index frame truncated: header declares {body_len} body bytes, found {}",
-            body.len()
-        )));
-    }
-    let computed = fnv1a64(&body);
-    if computed != declared {
-        return Err(format_err(format!(
-            "index checksum mismatch: frame declares {declared:#018x}, body hashes to {computed:#018x}"
-        )));
-    }
-
-    let input = &mut body.as_slice();
-    let (config, scheme) = read_v3_config(input)?;
-    let trials = config.trials;
-
-    let n_subjects = read_u64(input)? as usize;
-    let mut names = Vec::with_capacity(n_subjects.min(1 << 16));
-    for _ in 0..n_subjects {
-        let len = read_u64(input)? as usize;
-        if len > 1 << 20 {
-            return Err(format_err("unreasonable subject name length"));
-        }
-        let mut buf = vec![0u8; len];
-        input.read_exact(&mut buf)?;
-        names.push(String::from_utf8(buf).map_err(|_| format_err("subject name is not UTF-8"))?);
-    }
-    let stream_len = read_u64(input)? as usize;
-    let mut stream = Vec::with_capacity(stream_len.min(1 << 20));
-    for _ in 0..stream_len {
-        stream.push(read_u64(input)?);
-    }
-    let entries = legacy::v3_entries(&stream, trials)
-        .map_err(|e| format_err(format!("index table stream is corrupt: {e}")))?;
-    Ok(JemMapper::from_table_with_scheme(
-        legacy::table(trials, entries),
-        names,
-        &config,
-        scheme,
-    ))
-}
-
-/// Readers of the legacy per-trial table sections, kept only to convert
-/// old files; nothing writes them any more. Each yields the table's
-/// `(trial, code, subject)` entries; every section, slot and length is
-/// bounds-checked first, and any violation is an error, never a panic.
+/// Readers of the retired formats, kept only for [`upgrade_index`];
+/// nothing writes them any more, and nothing else reads them. Every
+/// section, slot and length is bounds-checked first, and any violation is
+/// an error, never a panic.
 mod legacy {
-    use super::{FlatTable, MaskedRun};
+    use super::{
+        config_err, config_from_words, format_err, read_u64, read_word_stream, FlatTable,
+        JemMapper, Layout, MapperConfig, MaskedRun, SketchScheme, CONFIG_WORDS,
+    };
     use jem_index::SubjectId;
+    use jem_seq::SeqError;
+    use std::io::Read;
+    use std::sync::Arc;
 
     /// A `(trial, code, subject)` association.
     type Entry = (usize, u64, SubjectId);
 
-    /// The v5 table of a legacy file's entries.
+    /// The version a retired magic names, if it is one.
+    pub(super) fn version(magic: &[u8; 8]) -> Option<u8> {
+        match magic {
+            b"JEMIDX3\0" => Some(3),
+            b"JEMIDX4\0" => Some(4),
+            b"JEMIDX5\0" => Some(5),
+            _ => None,
+        }
+    }
+
+    /// One byte-wise FNV-1a step: the checksum the retired formats were
+    /// sealed with.
+    fn fnv1a_step(h: u64, b: u8) -> u64 {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    /// FNV-1a's offset basis: the state of an empty input.
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Byte-wise FNV-1a of `bytes`.
+    pub(super) fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(FNV_OFFSET, |h, &b| fnv1a_step(h, b))
+    }
+
+    /// [`fnv1a64`] over the little-endian bytes of `words`.
+    pub(super) fn fnv1a64_words(words: &[u64]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(FNV_OFFSET, fnv1a_step)
+    }
+
+    /// Read a legacy file of `version` from `input`, its `magic` already
+    /// consumed, and verify it fully.
+    pub(super) fn load<R: Read>(
+        input: &mut R,
+        version: u8,
+        magic: &[u8; 8],
+    ) -> Result<JemMapper, SeqError> {
+        if version == 3 {
+            let body_len = read_u64(input)?;
+            let declared = read_u64(input)?;
+            return load_v3_body(input, body_len, declared);
+        }
+        let words = read_word_stream(input, magic)?;
+        let layout = Layout::check(&words, magic, fnv1a64_words)?;
+        let flat = if version == 4 {
+            let trials = layout.config.trials;
+            table(
+                trials,
+                v4_entries(&words[layout.table_off..], trials).map_err(|e| super::corrupt(&e))?,
+            )
+        } else {
+            layout.flat_table(Arc::new(words))?
+        };
+        layout.into_mapper(flat)
+    }
+
+    /// Read and validate the configuration and scheme that open a v3 body.
+    fn read_v3_config<R: Read>(input: &mut R) -> Result<(MapperConfig, SketchScheme), SeqError> {
+        let mut words = [0u64; CONFIG_WORDS];
+        for word in &mut words {
+            *word = read_u64(input)?;
+        }
+        config_from_words(&words).map_err(config_err)
+    }
+
+    /// Read and validate a v3 body (stream positioned after the 24-byte
+    /// header, whose `body_len`/`declared` fields are passed in).
+    fn load_v3_body<R: Read>(
+        input: &mut R,
+        body_len: u64,
+        declared: u64,
+    ) -> Result<JemMapper, SeqError> {
+        let mut body = Vec::new();
+        // `take` bounds the read without trusting `body_len` for an allocation.
+        input.take(body_len).read_to_end(&mut body)?;
+        if body.len() as u64 != body_len {
+            return Err(format_err(format!(
+                "index frame truncated: header declares {body_len} body bytes, found {}",
+                body.len()
+            )));
+        }
+        let computed = fnv1a64(&body);
+        if computed != declared {
+            return Err(format_err(format!(
+                "index checksum mismatch: frame declares {declared:#018x}, body hashes to {computed:#018x}"
+            )));
+        }
+
+        let input = &mut body.as_slice();
+        let (config, scheme) = read_v3_config(input)?;
+        let trials = config.trials;
+
+        let n_subjects = read_u64(input)? as usize;
+        let mut names = Vec::with_capacity(n_subjects.min(1 << 16));
+        for _ in 0..n_subjects {
+            let len = read_u64(input)? as usize;
+            if len > 1 << 20 {
+                return Err(format_err("unreasonable subject name length"));
+            }
+            let mut buf = vec![0u8; len];
+            input.read_exact(&mut buf)?;
+            names
+                .push(String::from_utf8(buf).map_err(|_| format_err("subject name is not UTF-8"))?);
+        }
+        let stream_len = read_u64(input)? as usize;
+        let mut stream = Vec::with_capacity(stream_len.min(1 << 20));
+        for _ in 0..stream_len {
+            stream.push(read_u64(input)?);
+        }
+        let entries = v3_entries(&stream, trials)
+            .map_err(|e| format_err(format!("index table stream is corrupt: {e}")))?;
+        Ok(JemMapper::from_table_with_scheme(
+            table(trials, entries),
+            names,
+            &config,
+            scheme,
+        ))
+    }
+
+    /// The code-keyed table of a legacy file's entries.
     pub(super) fn table(trials: usize, entries: Vec<Entry>) -> FlatTable {
         FlatTable::from_runs(trials, vec![MaskedRun::from_entries(trials, entries)])
     }
@@ -733,11 +795,21 @@ mod tests {
         for v in &stream {
             body.extend_from_slice(&v.to_le_bytes());
         }
-        out.write_all(V3_MAGIC)?;
+        out.write_all(b"JEMIDX3\0")?;
         out.write_all(&(body.len() as u64).to_le_bytes())?;
-        out.write_all(&fnv1a64(&body).to_le_bytes())?;
+        out.write_all(&legacy::fnv1a64(&body).to_le_bytes())?;
         out.write_all(&body)?;
         Ok(())
+    }
+
+    /// The legacy v5 bytes of `mapper`: its v6 file with the v5 magic and
+    /// words 2 and 3 under FNV-1a.
+    fn v5_file(mapper: &JemMapper) -> Vec<u8> {
+        let (mut words, _) = v6_words(mapper);
+        words[0] = u64::from_le_bytes(*b"JEMIDX5\0");
+        words[3] = legacy::fnv1a64_words(&words[4..11]);
+        words[2] = legacy::fnv1a64_words(&words[3..]);
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
     /// A table as the v3 per-trial stream, keys in ascending code order:
@@ -842,22 +914,29 @@ mod tests {
         let loaded = load_index(&mut first.as_slice()).unwrap();
         let mut second = Vec::new();
         save_index(&mut second, &loaded).unwrap();
-        assert_eq!(first, second, "v5 round-trip must reproduce exact bytes");
+        assert_eq!(first, second, "v6 round-trip must reproduce exact bytes");
     }
 
     #[test]
-    fn v3_upgrade_produces_identical_v5_bytes() {
+    fn legacy_upgrades_produce_identical_v6_bytes() {
         let (mapper, _) = build();
-        // Direct v5 save of the built mapper…
+        // Direct v6 save of the built mapper…
         let mut direct = Vec::new();
         save_index(&mut direct, &mapper).unwrap();
-        // …must equal save-as-v3 → load-v3 → save-v5 (the upgrade path).
+        // …must equal write-as-v3/v5 → upgrade → save (the upgrade path).
         let mut v3 = Vec::new();
         write_v3(&mut v3, &mapper).unwrap();
-        let migrated = load_index(&mut v3.as_slice()).unwrap();
-        let mut upgraded = Vec::new();
-        save_index(&mut upgraded, &migrated).unwrap();
-        assert_eq!(direct, upgraded);
+        for legacy in [v3, v5_file(&mapper)] {
+            let migrated = upgrade_index(&mut legacy.as_slice()).unwrap();
+            let mut upgraded = Vec::new();
+            save_index(&mut upgraded, &migrated).unwrap();
+            assert_eq!(direct, upgraded);
+        }
+        // A v6 file passes through the upgrade unchanged.
+        let again = upgrade_index(&mut direct.as_slice()).unwrap();
+        let mut same = Vec::new();
+        save_index(&mut same, &again).unwrap();
+        assert_eq!(direct, same);
     }
 
     #[test]
@@ -886,9 +965,9 @@ mod tests {
     #[test]
     fn path_load_rejects_wrong_file_before_reading_body() {
         let path = temp_path("wrongfile");
-        // A v5 header that declares far more words than the file holds.
+        // A v6 header that declares far more words than the file holds.
         let mut words = vec![0u64; HEADER_WORDS];
-        words[0] = u64::from_le_bytes(*V5_MAGIC);
+        words[0] = u64::from_le_bytes(*MAGIC);
         words[1] = 1 << 40;
         let mut f = File::create(&path).unwrap();
         for w in &words {
@@ -904,20 +983,14 @@ mod tests {
     }
 
     #[test]
-    fn header_peek_reads_the_config_of_both_formats() {
+    fn header_peek_reads_the_config() {
         let (mapper, _) = build();
-        for (tag, v3) in [("peek4", false), ("peek3", true)] {
-            let path = temp_path(tag);
-            let mut bytes = Vec::new();
-            if v3 {
-                write_v3(&mut bytes, &mapper).unwrap();
-            } else {
-                save_index(&mut bytes, &mapper).unwrap();
-            }
-            std::fs::write(&path, &bytes).unwrap();
-            assert_eq!(read_index_config(&path).unwrap(), *mapper.config(), "{tag}");
-            std::fs::remove_file(&path).unwrap();
-        }
+        let path = temp_path("peek6");
+        let mut bytes = Vec::new();
+        save_index(&mut bytes, &mapper).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_index_config(&path).unwrap(), *mapper.config());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -956,18 +1029,34 @@ mod tests {
     }
 
     #[test]
-    fn path_load_rejects_v3_length_mismatch_fast() {
-        let (mapper, _) = build();
-        let path = temp_path("v3-short");
-        let mut buf = Vec::new();
-        write_v3(&mut buf, &mapper).unwrap();
-        buf.truncate(buf.len() - 10);
-        std::fs::write(&path, &buf).unwrap();
-        let err = load_index_path(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("body bytes"),
-            "unexpected error: {err}"
-        );
+    fn every_loader_refuses_legacy_files_naming_the_upgrade() {
+        let mapper = build_tiny();
+        let mut v3 = Vec::new();
+        write_v3(&mut v3, &mapper).unwrap();
+        let fx = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/format-compat/index_v4.jem");
+        let v4 = std::fs::read(fx).unwrap();
+        let path = temp_path("legacy");
+        for (version, bytes) in [(3, v3), (4, v4), (5, v5_file(&mapper))] {
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                load_index(&mut bytes.as_slice()).unwrap_err(),
+                load_index_path(&path).unwrap_err(),
+                read_index_config(&path).unwrap_err(),
+            ];
+            for err in errors {
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("JEMIDX{version}"))
+                        && msg.contains("jem index --upgrade"),
+                    "v{version}: {msg}"
+                );
+            }
+            // The upgrade reads it, and a damaged copy fails typed there.
+            assert!(upgrade_index(&mut bytes.as_slice()).is_ok(), "v{version}");
+            let cut = &bytes[..bytes.len() - 10];
+            assert!(upgrade_index(&mut &cut[..]).is_err(), "v{version} cut");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1065,21 +1154,23 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_flip_rejected_v3() {
+    fn every_single_byte_flip_rejected_by_the_legacy_upgrade() {
         let mapper = build_tiny();
-        let mut buf = Vec::new();
-        write_v3(&mut buf, &mapper).unwrap();
-        assert!(
-            load_index(&mut buf.as_slice()).is_ok(),
-            "pristine v3 file must load"
-        );
-        for i in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x01;
+        let mut v3 = Vec::new();
+        write_v3(&mut v3, &mapper).unwrap();
+        for (version, buf) in [(3, v3), (5, v5_file(&mapper))] {
             assert!(
-                load_index(&mut bad.as_slice()).is_err(),
-                "flip of byte {i} went undetected"
+                upgrade_index(&mut buf.as_slice()).is_ok(),
+                "pristine v{version} file must upgrade"
             );
+            for i in 0..buf.len() {
+                let mut bad = buf.clone();
+                bad[i] ^= 0x01;
+                assert!(
+                    upgrade_index(&mut bad.as_slice()).is_err(),
+                    "v{version}: flip of byte {i} went undetected"
+                );
+            }
         }
     }
 
@@ -1098,11 +1189,11 @@ mod tests {
         body.extend_from_slice(&0u64.to_le_bytes()); // no subjects
         body.extend_from_slice(&1u64.to_le_bytes()); // stream_len = 1
         body.extend_from_slice(&999u64.to_le_bytes()); // garbage stream word
-        let mut file = V3_MAGIC.to_vec();
+        let mut file = b"JEMIDX3\0".to_vec();
         file.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        file.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        file.extend_from_slice(&legacy::fnv1a64(&body).to_le_bytes());
         file.extend_from_slice(&body);
-        let err = load_index(&mut file.as_slice()).unwrap_err();
+        let err = upgrade_index(&mut file.as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("table stream is corrupt"),
             "unexpected error: {err}"
@@ -1114,6 +1205,7 @@ mod tests {
         let mut data = b"JEMIDX2\0".to_vec();
         data.extend_from_slice(&[0u8; 128]);
         assert!(load_index(&mut data.as_slice()).is_err());
+        assert!(upgrade_index(&mut data.as_slice()).is_err());
     }
 
     #[test]
@@ -1121,7 +1213,7 @@ mod tests {
         let (mapper, subjects) = build();
         let mut buf = Vec::new();
         write_v3(&mut buf, &mapper).unwrap();
-        let loaded = load_index(&mut buf.as_slice()).unwrap();
+        let loaded = upgrade_index(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.config(), mapper.config());
         assert_eq!(loaded.n_subjects(), mapper.n_subjects());
         assert_eq!(loaded.table().entry_count(), mapper.table().entry_count());
@@ -1178,9 +1270,9 @@ mod tests {
         assert_eq!(loaded.table().entry_count(), 0);
     }
 
-    /// The words of a well-checksummed v5 file, and the word index where
+    /// The words of a well-checksummed v6 file, and the word index where
     /// its posting arena starts.
-    fn v5_words(mapper: &JemMapper) -> (Vec<u64>, usize) {
+    fn v6_words(mapper: &JemMapper) -> (Vec<u64>, usize) {
         let mut buf = Vec::new();
         save_index(&mut buf, mapper).unwrap();
         let words: Vec<u64> = buf
@@ -1200,9 +1292,9 @@ mod tests {
 
     #[test]
     fn out_of_range_subject_id_rejected() {
-        // A well-checksummed v5 file whose arena references a subject id
+        // A well-checksummed v6 file whose arena references a subject id
         // beyond the name table must fail to load.
-        let (mut words, arena) = v5_words(&build_tiny());
+        let (mut words, arena) = v6_words(&build_tiny());
         words[arena] |= u64::from(u32::MAX);
         reseal(&mut words);
         let err = parse_words(Arc::new(words)).unwrap_err();
@@ -1219,7 +1311,7 @@ mod tests {
         // both.
         let mapper = build_tiny();
         let trials = mapper.config().trials as u32;
-        let (pristine, arena) = v5_words(&mapper);
+        let (pristine, arena) = v6_words(&mapper);
         for mask in [0u64, 1 << trials] {
             let mut words = pristine.clone();
             words[arena] = (words[arena] & 0xFFFF_FFFF) | (mask << 32);
@@ -1255,10 +1347,7 @@ mod tests {
         let fx = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/fixtures/format-compat/index_v4.jem");
         let bytes = std::fs::read(&fx).unwrap();
-        let streamed = load_index(&mut bytes.as_slice()).unwrap();
-        let mapped = load_index_path(&fx).unwrap();
-        assert_eq!(streamed.table().blob(), mapped.table().blob());
-        assert_eq!(read_index_config(&fx).unwrap(), *mapped.config());
+        let mapped = upgrade_index(&mut bytes.as_slice()).unwrap();
         // The legacy decoder refuses a damaged bank layout with an error.
         let words: Vec<u64> = bytes
             .chunks_exact(8)

@@ -1,10 +1,10 @@
-//! Pins the zero-copy property of the v5 mmap load path through the
-//! metrics it emits: loading a JEMIDX v5 artifact from disk must copy
+//! Pins the zero-copy property of the v6 mmap load path through the
+//! metrics it emits: loading a JEMIDX v6 artifact from disk must copy
 //! **zero** posting-arena bytes (`persist.arena_copy_bytes` stays 0 and
-//! `persist.load_mmap` fires), while the legacy v4 and v3 loads, which
-//! convert the file in memory, report their copies. One test function
-//! owns the whole binary because the recorder install is process-global
-//! and first-install-wins.
+//! `persist.load_mmap` fires), while a legacy file is refused at its magic
+//! before anything is mapped or copied. One test function owns the whole
+//! binary because the recorder install is process-global and
+//! first-install-wins.
 
 #![cfg(unix)]
 
@@ -36,48 +36,36 @@ fn v5_mmap_load_copies_no_arena_bytes() {
     let mapper = JemMapper::build(&subjects, &config);
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
 
-    // v5: mmap route, zero bytes copied out of the artifact.
-    let v5 = dir.join("metrics-v5.jem");
-    let mut out = std::fs::File::create(&v5).unwrap();
+    // v6: mmap route, zero bytes copied out of the artifact.
+    let v6 = dir.join("metrics-v6.jem");
+    let mut out = std::fs::File::create(&v6).unwrap();
     save_index(&mut out, &mapper).unwrap();
     drop(out);
-    load_index_path(&v5).unwrap();
+    load_index_path(&v6).unwrap();
     let snap = rec.snapshot();
-    assert_eq!(snap.counter("persist.load_v5"), 1);
-    assert_eq!(snap.counter("persist.load_v4"), 0);
     assert_eq!(
         snap.counter("persist.load_mmap"),
         1,
-        "v5 must take the mmap route"
+        "v6 must take the mmap route"
     );
     assert_eq!(snap.counter("persist.load_owned"), 0);
     assert_eq!(
         snap.counter("persist.arena_copy_bytes"),
         0,
-        "a v5 mmap load must not copy the posting arena"
+        "a v6 mmap load must not copy the posting arena"
     );
+    assert_eq!(snap.spans.get("persist/load").map(|s| s.count), Some(1));
+    assert_eq!(snap.spans.get("persist/save").map(|s| s.count), Some(1));
 
-    // The committed v4 fixture is converted in memory: the whole file counts.
+    // The committed legacy fixtures are refused at the magic: nothing is
+    // mapped or read into memory for them.
     let fixtures =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format-compat");
-    let v4 = fixtures.join("index_v4.jem");
-    load_index_path(&v4).unwrap();
-    let snap = rec.snapshot();
-    assert_eq!(snap.counter("persist.load_v4"), 1);
-    assert_eq!(
-        snap.counter("persist.arena_copy_bytes"),
-        std::fs::metadata(&v4).unwrap().len(),
-        "a converted v4 load copies the file"
-    );
-
-    // The committed v3 fixture for contrast: the stream load has to copy
-    // its whole body.
-    let before = snap.counter("persist.arena_copy_bytes");
-    load_index_path(fixtures.join("index_v3.jem")).unwrap();
-    let snap = rec.snapshot();
-    assert_eq!(snap.counter("persist.load_v3"), 1);
-    assert!(
-        snap.counter("persist.arena_copy_bytes") > before,
-        "the v3 load copies its body and must say so"
-    );
+    for legacy in ["index_v3.jem", "index_v4.jem", "index_v5.jem"] {
+        assert!(load_index_path(fixtures.join(legacy)).is_err(), "{legacy}");
+    }
+    let after = rec.snapshot();
+    assert_eq!(after.counter("persist.load_mmap"), 1);
+    assert_eq!(after.counter("persist.load_owned"), 0);
+    assert_eq!(after.counter("persist.arena_copy_bytes"), 0);
 }

@@ -2,7 +2,7 @@
 //!
 //! Subjects are sketched on one scoped thread per core, each worker's
 //! share into its own code-keyed run ([`crate::MaskedRun`]); the runs are
-//! then merged and written straight into the flat v5 layout
+//! then merged and written straight into the flat v6 layout
 //! ([`FlatTable::from_runs`]). This is the same local-sketch → merge shape
 //! as the distributed steps S2–S3, so the shared-memory and distributed
 //! drivers produce identical tables.

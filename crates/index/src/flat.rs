@@ -1,5 +1,5 @@
 //! Flat, arena-backed view of the sketch table — the in-memory shape of the
-//! JEMIDX v5 on-disk format.
+//! JEMIDX v6 on-disk format.
 //!
 //! [`FlatTable`] is the workspace's one sketch table, and it is a *view
 //! over a word buffer*: one power-of-two open-addressing bucket array
@@ -206,7 +206,7 @@ impl FlatTable {
     ///
     /// # Panics
     /// Panics if a part's trial count differs from `trials`, or a posting
-    /// list or the arena outgrows the v5 bounds.
+    /// list or the arena outgrows the v6 bounds.
     pub fn from_runs(trials: usize, parts: Vec<MaskedRun>) -> FlatTable {
         for part in &parts {
             assert_eq!(part.trials(), trials, "runs T must match table T");
@@ -224,7 +224,7 @@ impl FlatTable {
         } = run;
         assert!(
             (postings as u64) <= (u64::MAX >> LEN_BITS),
-            "posting arena too large for v5 offsets"
+            "posting arena too large for v6 offsets"
         );
         let cap = if keys.is_empty() {
             0
@@ -249,7 +249,7 @@ impl FlatTable {
             let len = key.1;
             assert!(
                 len <= LEN_MASK,
-                "posting list length {len} outside v5 bounds [1, 2^24)"
+                "posting list length {len} outside v6 bounds [1, 2^24)"
             );
             key.1 = (start << LEN_BITS) | len;
             start += len;
@@ -494,7 +494,7 @@ impl FlatTable {
         }
     }
 
-    /// The table's words: the blob a v5 writer streams. For a table this
+    /// The table's words: the blob a v6 writer streams. For a table this
     /// crate wrote, these are the canonical words; a loaded table returns
     /// the words it was loaded from.
     pub fn blob(&self) -> &[u64] {

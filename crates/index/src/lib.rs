@@ -5,12 +5,15 @@
 //!   each code maps to the sorted subject (contig) ids holding it, each
 //!   with a trial mask whose bit `t` says the pair is in the paper's bank
 //!   `t`. It is a view over one word buffer — a bucket array plus a
-//!   contiguous posting arena, the JEMIDX v5 layout — that a build owns
+//!   contiguous posting arena, the JEMIDX v6 layout — that a build owns
 //!   and a load borrows, zero-copy, from a memory-mapped file.
 //! * [`runs`] — [`MaskedRun`], code-keyed postings `(code, subject,
 //!   trial mask)` ascending by `(code, subject)`: how every table is built
 //!   (sketch a part into a run, merge, write flat), and the framed `u64`
 //!   stream the distributed driver's gather step carries.
+//! * [`checksum`] — the one integrity checksum of index files, framed
+//!   runs and wire frames: four `u64` lanes over 32-byte stripes, shaped
+//!   like XXH64, with byte, word and word-chain entries.
 //! * [`builder`] — shared-memory parallel construction on one scoped
 //!   thread per core (sketch subjects in parallel into runs, merge,
 //!   write — the same local-sketch/global-merge shape as the distributed
@@ -28,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod checksum;
 pub mod flat;
 pub mod hits;
 pub mod runs;
@@ -38,10 +42,8 @@ pub mod u64map;
 pub type SubjectId = u32;
 
 pub use builder::build_table_with;
+pub use checksum::{checksum_bytes, checksum_chain, checksum_words};
 pub use flat::{FlatError, FlatTable, ProbeScratch, WordSource};
 pub use hits::{rank_order, HitCounter, HitStats, LazyHitCounter, NaiveHitCounter};
-pub use runs::{
-    checksum_chain, checksum_words, fnv1a64, mask_fits, mask_words, sketch_runs, trial_count,
-    DecodeError, MaskedRun,
-};
+pub use runs::{mask_fits, mask_words, sketch_runs, trial_count, DecodeError, MaskedRun};
 pub use u64map::U64Map;

@@ -9,7 +9,7 @@
 //! is sketched into one run ([`sketch_runs`]), legacy per-trial entries
 //! are folded into one ([`MaskedRun::from_entries`]), and
 //! [`crate::FlatTable::from_runs`] merges the runs and writes the merged
-//! one into the v5 layout.
+//! one into the v6 layout.
 //!
 //! Runs also travel: [`MaskedRun::encode_framed`] flattens one into the
 //! checksummed `u64` stream the distributed driver's gather step (S3)
@@ -20,13 +20,14 @@
 //! postings  a code's postings as u32 halves — subject, then W mask
 //!           words — packed two per word, low half first; an odd last
 //!           half is zero
-//! frame     [trials, payload_len, fnv1a64(payload), payload…]
+//! frame     [trials, payload_len, checksum_words(payload), payload…]
 //! ```
 //!
 //! The decoder accepts only what the encoder writes: codes strictly
 //! ascending, each with at least one posting, subjects strictly ascending
 //! within a code, every mask canonical and every padding half zero.
 
+use crate::checksum::checksum_words;
 use crate::SubjectId;
 use jem_sketch::{MaskedSketch, SketchScratch};
 use std::fmt;
@@ -135,44 +136,6 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// FNV-1a's offset basis: the state of an empty input.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continue a byte-wise FNV-1a from state `h` over `bytes`.
-#[inline]
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Byte-wise FNV-1a: the one checksum loop behind every artifact — index
-/// files, the framed S2→S3 stream, serve wire frames — and behind
-/// [`checksum_words`] and [`checksum_chain`].
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
-/// FNV-1a over a word stream (little-endian bytes of each `u64`) — the
-/// integrity check of the framed transport encoding and of index files.
-pub fn checksum_words(words: &[u64]) -> u64 {
-    checksum_chain([words])
-}
-
-/// [`checksum_words`] of the concatenation of `parts`, without building
-/// it: writers that stream sections from separate buffers hash them here.
-pub fn checksum_chain<'a>(parts: impl IntoIterator<Item = &'a [u64]>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for words in parts {
-        for w in words {
-            h = fnv1a_extend(h, &w.to_le_bytes());
-        }
-    }
-    h
-}
 
 /// `u32` halves packed two per word, low half first; an odd last half is
 /// paired with zero.
@@ -719,6 +682,42 @@ mod tests {
         );
     }
 
+    /// A run with enough postings, over two mask words, that its frame
+    /// spans a few hundred words.
+    fn fuzz_run() -> MaskedRun {
+        MaskedRun::from_entries(
+            40,
+            (0..300u32).map(|i| ((i * 7 % 40) as usize, u64::from(i * 13 % 97), i % 11)),
+        )
+    }
+
+    proptest::proptest! {
+        /// Two words swapped, one word copied over another, or one word
+        /// replaced, anywhere past the trial and length words (so the
+        /// frame keeps its declared length): only the checksum or the
+        /// structure checks can catch it, and the decoder refuses it with
+        /// a typed error.
+        #[test]
+        fn swapped_copied_or_replaced_frame_words_are_rejected(
+            kind in 0u8..3,
+            i_frac in 0.0f64..1.0,
+            j_frac in 0.0f64..1.0,
+            value in proptest::prelude::any::<u64>(),
+        ) {
+            let mut frame = fuzz_run().encode_framed();
+            let pristine = frame.clone();
+            let pick = |f: f64| 2 + ((frame.len() - 3) as f64 * f) as usize;
+            let (i, j) = (pick(i_frac), pick(j_frac));
+            match kind {
+                0 => frame.swap(i, j),
+                1 => frame[j] = frame[i],
+                _ => frame[j] = value,
+            }
+            proptest::prop_assume!(frame != pristine);
+            proptest::prop_assert!(MaskedRun::decode_framed(&frame, 40).is_err(), "kind {kind}");
+        }
+    }
+
     #[test]
     fn merge_is_the_sorted_union_with_masks_ored() {
         let a = MaskedRun::from_entries(3, [(0, 1, 0), (0, 5, 2), (0, 9, 1)]);
@@ -818,25 +817,6 @@ mod tests {
         assert!(mask_fits(&[u32::MAX], 32));
         assert!(!mask_fits(&[], 0));
         assert_eq!(trial_count(&[0b1011, 1 << 31]), 4);
-    }
-
-    #[test]
-    fn checksum_chain_equals_checksum_of_concatenation() {
-        let (a, b) = ([1u64, 2, 3], [u64::MAX, 0]);
-        let whole = [1u64, 2, 3, u64::MAX, 0];
-        assert_eq!(checksum_chain([&a[..], &b[..]]), checksum_words(&whole));
-        assert_eq!(checksum_words(&[]), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn checksum_words_is_fnv1a64_of_the_little_endian_bytes() {
-        let words = [1u64, 0x0102_0304_0506_0708, u64::MAX];
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        assert_eq!(checksum_words(&words), fnv1a64(&bytes));
-        // The published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * read-only, private mappings of whole files;
 //! * word-granular: the file length must be a positive multiple of 8, and
-//!   the mapping is handed out as little-endian `u64`s (the JEMIDX v4
+//!   the mapping is handed out as little-endian `u64`s (the JEMIDX
 //!   index format is specified in words, so this is the natural unit and
 //!   makes the alignment story trivial — `mmap` returns page-aligned
 //!   memory, which is always 8-byte aligned);

@@ -26,7 +26,7 @@ use crate::protocol::{
 };
 use crate::ServeError;
 use jem_core::{Mapping, QuerySegment};
-use jem_index::fnv1a64;
+use jem_index::checksum_bytes;
 use jem_obs::{MetricsRecorder, Recorder};
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -284,7 +284,7 @@ impl Client {
     /// `SystemTime`), different across servers so co-hosted clients don't
     /// sync up.
     fn busy_policy(&self, attempts: usize, backoff: Duration) -> RetryPolicy {
-        RetryPolicy::new(attempts, backoff).with_jitter_seed(fnv1a64(self.addr.as_bytes()))
+        RetryPolicy::new(attempts, backoff).with_jitter_seed(checksum_bytes(self.addr.as_bytes()))
     }
 
     /// [`Client::map_segments`] with bounded retries on

@@ -7,7 +7,7 @@
 //! [`jem_core::JemMapper`] read-only across a fixed worker pool, probing
 //! only the codes its [`jem_core::CodeFilter`] owns, and serves mapping
 //! requests over TCP with a length-prefixed, checksummed binary frame
-//! protocol ([`protocol`], magic `JEMSRV4\0`, one revision).
+//! protocol ([`protocol`], magic `JEMSRV5!`, one revision).
 //!
 //! Load-shedding is explicit: requests queue on per-client bounded lanes
 //! ([`queue::FairQueue`]); when a client's lane is full the server answers

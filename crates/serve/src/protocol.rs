@@ -4,9 +4,9 @@
 //! Frame layout (all integers little-endian; see DESIGN.md §10):
 //!
 //! ```text
-//! magic  b"JEMSRV4\0"             8 bytes
+//! magic  b"JEMSRV5!"             8 bytes
 //! body_len (bytes)        u64   (capped at MAX_BODY)
-//! fnv1a64(body)           u64
+//! checksum_bytes(body)    u64
 //! body
 //! ```
 //!
@@ -24,27 +24,27 @@
 //! envelope and the request together, so an envelope is never nested.
 //!
 //! There is one revision. A frame with any other magic, including the
-//! retired `JEMSRV1\0`, `JEMSRV2\0` and `JEMSRV3!`, is refused at the magic,
-//! before any body byte is read as a request. The magic differs from each
-//! retired one in at least two bits: the checksum covers only the body, so
-//! a single-bit transit error must not turn an old frame into a current
-//! one.
+//! retired `JEMSRV1\0`, `JEMSRV2\0`, `JEMSRV3!` and `JEMSRV4\0`, is refused
+//! at the magic, before any body byte is read as a request. The magic
+//! differs from each retired one in at least two bits: the checksum covers
+//! only the body, so a single-bit transit error must not turn an old frame
+//! into a current one.
 //!
-//! The body checksum is [`jem_index::fnv1a64`], the byte-wise FNV-1a the
-//! index files use: any byte-level damage in transit is a decode error,
-//! never a panic or a garbled mapping.
+//! The body checksum is [`jem_index::checksum_bytes`], the multi-lane word
+//! checksum the index files use: any byte-level damage in transit is a
+//! decode error, never a panic or a garbled mapping.
 
 use crate::ServeError;
 use jem_core::config::{config_from_words, config_words, CONFIG_WORDS};
 use jem_core::{MapperConfig, Mapping, QuerySegment, ReadEnd};
-use jem_index::{fnv1a64, SubjectId};
+use jem_index::{checksum_bytes, SubjectId};
 use jem_sketch::SketchScheme;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// The frame magic.
-pub const MAGIC: &[u8; 8] = b"JEMSRV4\0";
+pub const MAGIC: &[u8; 8] = b"JEMSRV5!";
 
 /// Longest client id an [`Envelope`] may carry. Ids feed a bounded
 /// per-client bucket map, so the bound is hygiene, not capacity.
@@ -615,7 +615,7 @@ pub fn write_frame<W: Write>(out: &mut W, body: &[u8]) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(24 + body.len());
     frame.extend_from_slice(MAGIC);
     frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    frame.extend_from_slice(&fnv1a64(body).to_le_bytes());
+    frame.extend_from_slice(&checksum_bytes(body).to_le_bytes());
     frame.extend_from_slice(body);
     out.write_all(&frame)?;
     out.flush()
@@ -676,7 +676,7 @@ pub fn read_frame<R: Read>(input: &mut R) -> Result<Vec<u8>, ServeError> {
             body.len()
         )));
     }
-    let computed = fnv1a64(&body);
+    let computed = checksum_bytes(&body);
     if computed != declared {
         return Err(ServeError::protocol(format!(
             "frame checksum mismatch: declared {declared:#018x}, computed {computed:#018x}"
@@ -710,7 +710,13 @@ mod tests {
 
     /// The magics of the retired revisions, plus the naive `\0`-padded
     /// spelling of the third: none may ever be accepted.
-    const RETIRED: [&[u8; 8]; 4] = [b"JEMSRV1\0", b"JEMSRV2\0", b"JEMSRV3!", b"JEMSRV3\0"];
+    const RETIRED: [&[u8; 8]; 5] = [
+        b"JEMSRV1\0",
+        b"JEMSRV2\0",
+        b"JEMSRV3!",
+        b"JEMSRV3\0",
+        b"JEMSRV4\0",
+    ];
 
     fn segment(read_idx: u32, end: ReadEnd, seq: &[u8]) -> QuerySegment {
         QuerySegment {
@@ -759,7 +765,7 @@ mod tests {
         assert_eq!(w.writes, 1);
         let mut expect = MAGIC.to_vec();
         expect.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        expect.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        expect.extend_from_slice(&checksum_bytes(&body).to_le_bytes());
         expect.extend_from_slice(&body);
         assert_eq!(w.bytes, expect);
     }

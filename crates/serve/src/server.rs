@@ -479,10 +479,11 @@ fn slot_entry_counts(mapper: &JemMapper, filter: &CodeFilter) -> Vec<usize> {
 /// Run one reload on its own thread: load + validate the new index, then
 /// atomically bump the epoch; the server keeps its filter. In-flight
 /// batches keep their pinned old epoch; a failed load answers `Error` and
-/// leaves the old index serving. `load_index_path` memory-maps JEMIDX v5
+/// leaves the old index serving. `load_index_path` memory-maps JEMIDX v6
 /// artifacts (zero posting-arena copy; hot reload is a remap), reads them
-/// into an owned buffer on non-mmap platforms, and converts legacy v3 and
-/// v4 files in memory. Header/checksum validation happens before the
+/// into an owned buffer on non-mmap platforms, and refuses a legacy v3,
+/// v4 or v5 file at its magic with an error naming `jem index
+/// --upgrade`. Header/checksum validation happens before the
 /// mapper is built, so a truncated or corrupt artifact is a typed error
 /// here — never a panic, never a swap.
 fn spawn_reload(shared: Arc<Shared>, reply: Reply, path: String) {

@@ -6,8 +6,10 @@
 //!
 //! Single-bit flips are the damage model for the aliasing property: every
 //! in-frame flip is caught by the magic check, the length check, or the
-//! FNV-1a body checksum, and the magic differs from every retired
-//! revision's in at least two bits.
+//! body checksum (`jem_index::checksum_bytes`), and the magic differs from
+//! every retired revision's in at least two bits. Word-level damage —
+//! two 8-byte words swapped, one copied over another, one replaced —
+//! past the magic and the length word is refused outright.
 
 use jem_core::{QuerySegment, ReadEnd};
 use jem_index::{mask_words, SubjectId};
@@ -127,6 +129,42 @@ proptest! {
         }
         // The pristine frame still round-trips (the damage copy is separate).
         prop_assert_eq!(decode(&wire).unwrap(), req);
+    }
+
+    /// Two 8-byte words of the frame swapped, one copied over another, or
+    /// one replaced, among the checksum word and the body (the magic and
+    /// the length word stay intact, so the frame keeps its length): the
+    /// frame is refused with a typed error, never decoded and never a
+    /// panic.
+    #[test]
+    fn swapped_copied_or_replaced_words_are_refused(
+        kind in 0u8..7,
+        client in "[a-z0-9-]{0,12}",
+        deadline in 0u64..10_000,
+        segs in prop::collection::vec(
+            (0u32..1000, any::<bool>(), prop::collection::vec(0u8..=255, 0..40)),
+            0..4,
+        ),
+        path in "[a-z/.]{0,24}",
+        (damage, i_frac, j_frac, value) in (0u8..3, 0.0f64..1.0, 0.0f64..1.0, any::<u64>()),
+    ) {
+        let req = build_request(kind, client, deadline, segs, path);
+        let mut wire = frame(&req);
+        // Whole words from byte 16 on: the checksum, then the body's.
+        let n = (wire.len() - 16) / 8;
+        let pick = |f: f64| 16 + 8 * ((n - 1) as f64 * f) as usize;
+        let (i, j) = (pick(i_frac), pick(j_frac));
+        let word = |w: &[u8], at: usize| u64::from_le_bytes(w[at..at + 8].try_into().unwrap());
+        let (wi, wj) = (word(&wire, i), word(&wire, j));
+        let (new_i, new_j) = match damage {
+            0 => (wj, wi),
+            1 => (wi, wi),
+            _ => (wi, value),
+        };
+        prop_assume!((new_i, new_j) != (wi, wj));
+        wire[i..i + 8].copy_from_slice(&new_i.to_le_bytes());
+        wire[j..j + 8].copy_from_slice(&new_j.to_le_bytes());
+        prop_assert!(decode(&wire).is_err(), "damage {damage} at bytes {i} and {j} decoded");
     }
 
     #[test]

@@ -189,19 +189,19 @@ fn corrupt_index_reload_is_rejected_and_keeps_the_old_index_serving() {
         m.sort_unstable();
         m
     };
-    // Start from a pristine v5 artifact, then break it two ways: flip one
+    // Start from a pristine v6 artifact, then break it two ways: flip one
     // byte mid-file (posting arena / checksum mismatch) and truncate the
     // tail (section bounds mismatch). Both must fail validation *before*
     // the epoch swap with a typed error — never a panic, never a swap.
-    let pristine = persist(&new, "reload-pristine-v5.idx");
+    let pristine = persist(&new, "reload-pristine-v6.idx");
     let bytes = std::fs::read(&pristine).unwrap();
     let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let corrupt = tmp.join("reload-corrupt-v5.idx");
+    let corrupt = tmp.join("reload-corrupt-v6.idx");
     let mut flipped = bytes.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0xff;
     std::fs::write(&corrupt, &flipped).unwrap();
-    let truncated = tmp.join("reload-truncated-v5.idx");
+    let truncated = tmp.join("reload-truncated-v6.idx");
     std::fs::write(&truncated, &bytes[..bytes.len() - 9]).unwrap();
 
     let handle = jem_serve::start(
@@ -224,11 +224,46 @@ fn corrupt_index_reload_is_rejected_and_keeps_the_old_index_serving() {
     assert_eq!(client.map_segments(&seg).unwrap(), expected);
     client
         .reload(pristine.display().to_string())
-        .expect("the pristine v5 artifact must still reload");
+        .expect("the pristine v6 artifact must still reload");
 
     let snapshot = handle.shutdown();
     assert_eq!(snapshot.counter("serve.reloads"), 1);
     assert_eq!(snapshot.counter("serve.reload_errors"), 2);
+}
+
+/// A `Reload` of a retired-format index — the committed v5 fixture — is
+/// refused with a typed `Error` naming the upgrade that rewrites it, and
+/// the old index keeps answering.
+#[test]
+fn legacy_index_reload_is_refused_naming_the_upgrade() {
+    let (old, _, segments) = worlds();
+    let seg = segments[..1].to_vec();
+    let expected = {
+        let mut m = old.map_segments(&seg);
+        m.sort_unstable();
+        m
+    };
+    let v5 = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/format-compat/index_v5.jem");
+    let handle = jem_serve::start(
+        old,
+        CodeFilter::slots(2, 0..2),
+        "127.0.0.1:0",
+        &ServerConfig::default(),
+    )
+    .unwrap();
+    let client = Client::new(handle.addr().to_string());
+    match client.reload(v5.display().to_string()) {
+        Err(ServeError::Remote(msg)) => assert!(
+            msg.contains("JEMIDX5") && msg.contains("jem index --upgrade"),
+            "got: {msg}"
+        ),
+        other => panic!("expected a remote reload error, got {other:?}"),
+    }
+    assert_eq!(client.map_segments(&seg).unwrap(), expected);
+    let snapshot = handle.shutdown();
+    assert_eq!(snapshot.counter("serve.reloads"), 0);
+    assert_eq!(snapshot.counter("serve.reload_errors"), 1);
 }
 
 #[test]

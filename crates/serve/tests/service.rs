@@ -319,7 +319,7 @@ fn retired_frame(magic: &[u8; 8]) -> Vec<u8> {
     let body = 0u64.to_le_bytes();
     let mut wire = magic.to_vec();
     wire.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    wire.extend_from_slice(&jem_index::fnv1a64(&body).to_le_bytes());
+    wire.extend_from_slice(&jem_index::checksum_bytes(&body).to_le_bytes());
     wire.extend_from_slice(&body);
     wire
 }
@@ -339,7 +339,7 @@ fn retired_revision_frames_get_a_typed_error() {
     let registry = ShardRegistry::parse(&format!("0-2@{}", shard.addr())).unwrap();
     let router = start_router(registry, "127.0.0.1:0", &RouterConfig::default()).unwrap();
     for addr in [server.addr(), router.addr()] {
-        for magic in [b"JEMSRV1\0", b"JEMSRV2\0", b"JEMSRV3!"] {
+        for magic in [b"JEMSRV1\0", b"JEMSRV2\0", b"JEMSRV3!", b"JEMSRV4\0"] {
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
             conn.write_all(&retired_frame(magic)).unwrap();
             let reply = read_frame(&mut conn).unwrap();
@@ -351,9 +351,9 @@ fn retired_revision_frames_get_a_typed_error() {
         let client = Client::new(addr.to_string());
         assert_eq!(client.map_segments(&seg).unwrap(), expected, "{addr}");
     }
-    assert_eq!(server.shutdown().counter("serve.protocol_errors"), 3);
+    assert_eq!(server.shutdown().counter("serve.protocol_errors"), 4);
     let report = router.shutdown();
-    assert_eq!(report.metrics.counter("router.protocol_errors"), 3);
+    assert_eq!(report.metrics.counter("router.protocol_errors"), 4);
     assert_eq!(shard.shutdown().counter("serve.protocol_errors"), 0);
 }
 
